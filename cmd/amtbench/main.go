@@ -78,13 +78,6 @@ func main() {
 		}
 		amt.AfterAll(s, fs).Get()
 	})
-	fns := make([]func(), 2**workers)
-	for i := range fns {
-		fns[i] = func() {}
-	}
-	bench("amt: batched fork/join (RunBatch)", func() {
-		amt.AfterAll(s, amt.RunBatch(s, fns)).Get()
-	})
 	bench("amt: for_each (1k iters, chunked)", func() {
 		amt.ForEach(s, 0, 1000, 128, func(i int) {}).Get()
 	})
@@ -93,7 +86,7 @@ func main() {
 	})
 
 	// Fire-and-forget throughput: how many empty tasks per second the
-	// scheduler drains, submitted one at a time versus in batches of 16.
+	// scheduler drains, submitted one at a time.
 	const burst = 200000
 	t0 := time.Now()
 	for i := 0; i < burst; i++ {
@@ -102,19 +95,6 @@ func main() {
 	s.Quiesce()
 	d := time.Since(t0)
 	fmt.Printf("  %-34s %v/op (%.1fM tasks/s)\n", "amt: fire-and-forget throughput",
-		d/time.Duration(burst), float64(burst)/d.Seconds()/1e6)
-
-	batch := make([]amt.Task, 16)
-	for i := range batch {
-		batch[i] = func() {}
-	}
-	t0 = time.Now()
-	for i := 0; i < burst/len(batch); i++ {
-		s.SpawnBatch(batch)
-	}
-	s.Quiesce()
-	d = time.Since(t0)
-	fmt.Printf("  %-34s %v/op (%.1fM tasks/s)\n", "amt: batched spawn throughput",
 		d/time.Duration(burst), float64(burst)/d.Seconds()/1e6)
 
 	c := s.CountersSnapshot()
@@ -148,24 +128,22 @@ func main() {
 	// pays. Reported per burst: drain time, successful steal sweeps per
 	// task, and frames migrated per sweep (1.0 without steal-half).
 	const pinBurst = 512
-	pinned := make([]amt.Task, pinBurst)
-	zeros := make([]int, pinBurst)
 	sink := 0.0
-	for i := range pinned {
-		pinned[i] = func() {
-			acc := 0.0
-			for k := 0; k < 200; k++ {
-				acc += float64(k)
-			}
-			sink += acc
+	pinned := func() {
+		acc := 0.0
+		for k := 0; k < 200; k++ {
+			acc += float64(k)
 		}
+		sink += acc
 	}
 	fmt.Printf("\ncontended stealing (%d-task bursts pinned to worker 0, %d workers)\n",
 		pinBurst, *workers)
 	for _, half := range []bool{false, true} {
 		sc := amt.NewScheduler(amt.WithWorkers(*workers), amt.WithStealHalf(half))
 		drain := func() {
-			sc.SpawnBatchAt(pinned, zeros)
+			for i := 0; i < pinBurst; i++ {
+				sc.SpawnAt(0, pinned)
+			}
 			sc.Quiesce()
 		}
 		for i := 0; i < 20; i++ {
@@ -189,51 +167,5 @@ func main() {
 		sc.Close()
 	}
 
-	// Region steady state: the same blocked loop over the same index range
-	// repeated many times, as the solver does every stage of every
-	// timestep. With a block-distributed home map each worker should keep
-	// re-touching its own slice (few steals, high hit rate); unhinted
-	// round-robin placement is the baseline.
-	const regionN, regionGrain = 1 << 16, 256
-	body := func(lo, hi int) {
-		acc := 0.0
-		for i := lo; i < hi; i++ {
-			acc += float64(i)
-		}
-		sink += acc
-	}
-	fmt.Printf("\nregion steady state (ForEachBlock over %d indices, grain %d)\n",
-		regionN, regionGrain)
-	for _, hinted := range []bool{false, true} {
-		sc := amt.NewScheduler(amt.WithWorkers(*workers), amt.WithStealHalf(true))
-		var home func(lo, hi int) int
-		if hinted {
-			home = func(lo, hi int) int { return lo * *workers / regionN }
-		}
-		run := func() { amt.ForEachBlockAt(sc, 0, regionN, regionGrain, home, body).Get() }
-		for i := 0; i < 20; i++ {
-			run()
-		}
-		sc.ResetCounters()
-		reps := *n / 100
-		if reps < 50 {
-			reps = 50
-		}
-		t0 = time.Now()
-		for i := 0; i < reps; i++ {
-			run()
-		}
-		d = time.Since(t0)
-		cc := sc.CountersSnapshot()
-		line := fmt.Sprintf("  %-34s %v/region  %.4f steals/task",
-			fmt.Sprintf("affinity hints=%v", hinted),
-			d/time.Duration(reps),
-			float64(cc.Steals)/float64(cc.Tasks))
-		if rate, ok := cc.AffinityHitRate(); ok {
-			line += fmt.Sprintf("  %.1f%% affinity hits", 100*rate)
-		}
-		fmt.Println(line)
-		sc.Close()
-	}
 	_ = sink
 }

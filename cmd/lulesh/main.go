@@ -55,16 +55,11 @@ func main() {
 		backend  = flag.String("backend", "task", "backend: serial | omp | naive | task")
 		partN    = flag.Int("part-nodal", 0, "task partition size for node loops (0 = Table I default)")
 		partE    = flag.Int("part-elem", 0, "task partition size for element loops (0 = Table I default)")
-		priority = flag.Bool("priority-regions", false, "schedule expensive region chains at high priority (task backend)")
-		affinity = flag.Bool("affinity", true, "locality-aware task placement: partition→worker affinity map (task backend)")
 		stealH   = flag.Bool("steal-half", true, "idle workers steal half a victim's queue per sweep (task backend)")
-		adaptive = flag.Bool("adaptive-grain", false, "idle-rate feedback controller resizes partition grain between timesteps (task backend)")
-		tgtIdle  = flag.Float64("target-idle", 0, "idle-rate setpoint for -adaptive-grain (0 = default)")
 		showCtr  = flag.Bool("counters", false, "print utilization counters")
 		metrics  = flag.String("metrics-addr", "", "serve live Prometheus text, JSON snapshots and pprof on this address (e.g. :8080, :0 = ephemeral)")
 		phases   = flag.Bool("phases", false, "record per-phase breakdowns and print the table at exit (implied by -metrics-addr)")
 		traceOut = flag.String("trace", "", "write a Chrome trace of task/region spans to this file")
-		profile  = flag.Bool("profile", false, "print per-phase wall times (serial backend only)")
 		progress = flag.Bool("p", false, "print cycle/time/dt every iteration (reference -p)")
 		vtkOut   = flag.String("vtk", "", "write the final state as a legacy VTK file")
 		saveOut  = flag.String("save", "", "write a checkpoint of the final state to this file")
@@ -226,11 +221,7 @@ func main() {
 		if *partE > 0 {
 			opt.PartElem = *partE
 		}
-		opt.PrioritizeHeavyRegions = *priority
-		opt.Affinity = *affinity
 		opt.StealHalf = *stealH
-		opt.AdaptiveGrain = *adaptive
-		opt.TargetIdle = *tgtIdle
 		b = core.NewBackendTask(d, opt)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown backend %q\n", *backend)
@@ -255,7 +246,11 @@ func main() {
 		if *traceOut != "" {
 			ringCap = 1 << 16 // raw spans feed the Chrome trace
 		}
-		prof = perf.NewProfiler(*threads, ringCap)
+		workers := *threads
+		if *backend == "serial" {
+			workers = 1 // every serial record lands on worker 0
+		}
+		prof = perf.NewProfiler(workers, ringCap)
 		pb.SetProfiler(prof)
 	}
 
@@ -300,14 +295,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics (JSON at /metrics.json, pprof at /debug/pprof/)\n", srv.Addr)
-	}
-	if *profile {
-		if sb, ok := b.(*core.BackendSerial); ok {
-			sb.EnableProfiling()
-		} else {
-			fmt.Fprintln(os.Stderr, "-profile requires -backend serial")
-			os.Exit(2)
-		}
 	}
 
 	if !*quiet {
@@ -388,11 +375,6 @@ func main() {
 			if rate, ok := c.AffinityHitRate(); ok {
 				fmt.Printf("affinity_hit_rate=%.4f\n", rate)
 			}
-			if tb.Options().AdaptiveGrain {
-				opt := tb.Options()
-				fmt.Printf("grain_adjustments=%d part_elem=%d part_nodal=%d\n",
-					tb.GrainAdjustments(), opt.PartElem, opt.PartNodal)
-			}
 		}
 	}
 	if prof != nil {
@@ -422,18 +404,6 @@ func main() {
 		f.Close()
 		if !*quiet {
 			fmt.Printf("wrote %d spans to %s\n", rec.Len(), *traceOut)
-		}
-	}
-	if *profile {
-		sb := b.(*core.BackendSerial)
-		fmt.Println("\nPer-phase wall time:")
-		total := time.Duration(0)
-		for _, ph := range sb.Profile() {
-			total += ph.Total
-		}
-		for _, ph := range sb.Profile() {
-			fmt.Printf("  %-16s %12v  %5.1f%%\n", ph.Name, ph.Total,
-				100*float64(ph.Total)/float64(total))
 		}
 	}
 	if *saveOut != "" {

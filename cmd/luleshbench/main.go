@@ -59,7 +59,6 @@ func main() {
 		fig     = flag.String("fig", "", "figure to reproduce: 9 | 10 | 11 | naive | dist")
 		table   = flag.String("table", "", "table to reproduce: 1")
 		ablate  = flag.Bool("ablation", false, "run the technique ablation study")
-		local   = flag.Bool("locality", false, "run the locality-layer ablation (affinity, steal-half, adaptive grain)")
 		sched   = flag.Bool("schedules", false, "compare OpenMP loop schedules against the task backend")
 		sizes   = flag.String("sizes", "", "comma-separated problem sizes (default machine-scaled)")
 		threads = flag.String("threads", "", "comma-separated thread counts (default 1..2*cores)")
@@ -135,9 +134,6 @@ func main() {
 	case *ablate:
 		cfg.name = "ablation"
 		ablation(cfg)
-	case *local:
-		cfg.name = "locality"
-		locality(cfg)
 	case *sched:
 		cfg.name = "schedules"
 		schedules(cfg)
@@ -149,7 +145,7 @@ func main() {
 	case *stallF != "":
 		stallReport(*stallF)
 	default:
-		fmt.Fprintln(os.Stderr, "pick one of: -fig 9 | -fig 10 | -fig 11 | -fig naive | -fig dist | -table 1 | -ablation | -locality | -schedules | -sweep | -benchgate | -stall-report FILE")
+		fmt.Fprintln(os.Stderr, "pick one of: -fig 9 | -fig 10 | -fig 11 | -fig naive | -fig dist | -table 1 | -ablation | -schedules | -sweep | -benchgate | -stall-report FILE")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -253,7 +249,6 @@ func measure(c config, size, regions, threads int, backend string) (sec, util fl
 // profiler collects the phase breakdown: the live endpoint follows it,
 // and the best rep is written out as a BENCH_<n>.json record.
 func measureBest(c config, size, regions, threads int, backend string) (best core.Result, util float64, hasUtil bool) {
-	var s stats.Sample
 	var prof *perf.Profiler
 	if c.record != "" || liveSrv != nil {
 		prof = perf.NewProfiler(threads, 0)
@@ -301,7 +296,6 @@ func measureBest(c config, size, regions, threads int, backend string) (best cor
 				backend, size, regions, threads, err)
 			os.Exit(1)
 		}
-		s.Add(res.Elapsed.Seconds())
 		util, hasUtil = res.Utilization, res.HasUtil
 		if r == 0 || res.Elapsed < best.Elapsed {
 			best = res
@@ -311,9 +305,9 @@ func measureBest(c config, size, regions, threads int, backend string) (best cor
 				Name: c.name, Scenario: c.scenario.String(),
 				Backend: backend, Workers: threads,
 				Size: size, Regions: d.Regions.NumReg, Iterations: best.Iterations,
-				ElapsedSec: s.Min(), FOM: zps(best), GrindUsZC: grind(best),
 				Counters: counters,
 			}
+			rec.SetThroughput(size*size*size, best.Iterations, best.Elapsed)
 			if prof != nil {
 				rec.Phases = prof.Snapshot().Phases
 			}
@@ -325,21 +319,6 @@ func measureBest(c config, size, regions, threads int, backend string) (best cor
 		}
 	}
 	return best, util, hasUtil
-}
-
-// zps converts core.Result.FOM (kilo-zones/s) to zones/s, the unit
-// BenchRecord stores.
-func zps(res core.Result) float64 {
-	return res.FOM() * 1000
-}
-
-// grind converts a run result to the grind time in us/zone/cycle — the
-// size-independent metric the bench gate compares.
-func grind(res core.Result) float64 {
-	if z := zps(res); z > 0 {
-		return 1e6 / z
-	}
-	return 0
 }
 
 func emit(c config, t *stats.Table) {
@@ -490,7 +469,7 @@ func ablation(c config) {
 		{"-fusion", func(o *core.Options) { o.Fuse = false }},
 		{"-parallel forces", func(o *core.Options) { o.ParallelForces = false }},
 		{"-parallel regions", func(o *core.Options) { o.ParallelRegions = false }},
-		{"+priority LPT", func(o *core.Options) { o.PrioritizeHeavyRegions = true }},
+		{"-steal half", func(o *core.Options) { o.StealHalf = false }},
 	}
 	header := []string{"size"}
 	for _, v := range variants {
@@ -513,71 +492,6 @@ func ablation(c config) {
 			row = append(row, time.Since(start).Seconds())
 		}
 		t.AddRow(row...)
-	}
-	emit(c, t)
-}
-
-// locality ablates the locality-aware scheduling layer: affinity hints
-// and steal-half off one at a time from the default configuration, plus
-// the adaptive-grain extension on top. Next to the runtime it reports the
-// scheduler-counter evidence: the idle rate, how many steal sweeps ran
-// per task and how many frames each migrated, the fraction of hinted
-// tasks that executed on their home worker, the per-worker busy-time
-// imbalance, and the number of mid-run grain adjustments.
-//
-// Note that the affinity hit rate needs real parallelism to be
-// meaningful: on a single CPU the one running worker legitimately steals
-// everything the descheduled workers cannot execute, capping the rate
-// near 1/threads no matter how frames were placed.
-func locality(c config) {
-	th := c.threads[len(c.threads)-1]
-	fmt.Printf("Locality ablation at %d threads (FOM in z/s)\n\n", th)
-	variants := []struct {
-		name string
-		mod  func(*core.Options)
-	}{
-		{"full (aff+steal-half)", func(o *core.Options) {}},
-		{"-affinity", func(o *core.Options) { o.Affinity = false }},
-		{"-steal half", func(o *core.Options) { o.StealHalf = false }},
-		{"-both", func(o *core.Options) { o.Affinity = false; o.StealHalf = false }},
-		{"+adaptive grain", func(o *core.Options) { o.AdaptiveGrain = true }},
-	}
-	t := stats.NewTable("size", "variant", "runtime [s]", "FOM", "idle",
-		"steals/task", "frames/steal", "aff hits", "imbalance", "regrains")
-	for _, size := range c.sizes {
-		for _, v := range variants {
-			var best *core.Result
-			var row []interface{}
-			for rep := 0; rep < c.reps; rep++ {
-				d := buildDomain(c, size, 11)
-				opt := core.DefaultOptions(size, th)
-				v.mod(&opt)
-				b := core.NewBackendTask(d, opt)
-				res, err := core.Run(d, b, core.RunConfig{MaxIterations: c.iterCap(size)})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "locality run failed: %v\n", err)
-					os.Exit(1)
-				}
-				if best == nil || res.Elapsed < best.Elapsed {
-					best = &res
-					ctr := b.Counters()
-					busy := make([]float64, len(ctr.PerWorker))
-					for i, dur := range ctr.PerWorker {
-						busy[i] = dur.Seconds()
-					}
-					hits := "-"
-					if rate, ok := ctr.AffinityHitRate(); ok {
-						hits = fmt.Sprintf("%.1f%%", 100*rate)
-					}
-					row = []interface{}{size, v.name, res.Elapsed.Seconds(), res.FOM(),
-						fmt.Sprintf("%.3f", 1-ctr.Utilization()),
-						stats.Rate(ctr.Steals, ctr.Tasks), ctr.FramesPerSteal(),
-						hits, stats.Imbalance(busy), b.GrainAdjustments()}
-				}
-				b.Close()
-			}
-			t.AddRow(row...)
-		}
 	}
 	emit(c, t)
 }
@@ -682,8 +596,10 @@ func sweep(c config, scenarioSpecs, backends []string) {
 			for _, th := range c.threads {
 				for _, backend := range backends {
 					best, _, _ := measureBest(cc, size, 11, th, backend)
+					var r perf.BenchRecord
+					r.SetThroughput(size*size*size, best.Iterations, best.Elapsed)
 					t.AddRow(spec.String(), backend, size, th, best.Iterations,
-						best.Elapsed.Seconds(), grind(best), zps(best))
+						best.Elapsed.Seconds(), r.GrindUsZC, r.FOM)
 				}
 			}
 		}
@@ -746,12 +662,13 @@ func benchgate(c config, dir string, tol float64, absolute bool) {
 		cc.iters = tg.rec.Iterations // measure the same cycle count the baseline did
 		cc.record = ""               // the gate measures, it does not append to the trajectory
 		best, _, _ := measureBest(cc, tg.rec.Size, tg.regions, tg.rec.Workers, tg.rec.Backend)
-		return perf.BenchRecord{
+		rec := perf.BenchRecord{
 			Name: "benchgate", Scenario: tg.spec.String(),
 			Backend: tg.rec.Backend, Workers: tg.rec.Workers,
 			Size: tg.rec.Size, Regions: tg.regions, Iterations: best.Iterations,
-			ElapsedSec: best.Elapsed.Seconds(), FOM: zps(best), GrindUsZC: grind(best),
 		}
+		rec.SetThroughput(best.Size*best.Size*best.Size, best.Iterations, best.Elapsed)
+		return rec
 	}
 
 	current := make(map[string]perf.BenchRecord, len(targets))

@@ -2,7 +2,8 @@
 // selected scenario on every backend and checks
 //
 //  1. bitwise agreement of the full simulation state across backends and
-//     thread counts,
+//     thread counts, and across every on/off combination of the task
+//     backend's toggles,
 //  2. bitwise agreement between the synchronous and asynchronous
 //     multi-domain schedules,
 //  3. an exact checkpoint round trip: save mid-run, restore, continue,
@@ -48,8 +49,6 @@ func main() {
 	size := flag.Int("s", 8, "problem size")
 	steps := flag.Int("i", 20, "iterations to verify over")
 	scenario := flag.String("scenario", "", "problem scenario: name[:key=val,...] (\"\" = sedov)")
-	locality := flag.Bool("locality", false,
-		"also sweep all affinity × steal-half × adaptive-grain combinations")
 	netMode := flag.Bool("net", false,
 		"also prove multi-process (TCP) runs bitwise identical to in-process ones")
 	netWorker := flag.Bool("net-worker", false, "internal: run as one wire worker of a -net check")
@@ -130,22 +129,22 @@ func main() {
 	check("bitwise vs serial: task+profiler", equalState(ref, got),
 		fmt.Sprintf("recorded %d tasks", prof.Snapshot().Tasks))
 
-	// 1b. The locality layer is scheduling-only: every combination of
-	// affinity hints, steal-half batching and adaptive grain must stay
-	// bitwise identical to serial — including mid-run partition resizes.
-	if *locality {
-		for mask := 0; mask < 8; mask++ {
-			opt := core.DefaultOptions(*size, threads)
-			opt.Affinity = mask&1 != 0
-			opt.StealHalf = mask&2 != 0
-			opt.AdaptiveGrain = mask&4 != 0
-			got := runBackend(func(d *domain.Domain) core.Backend {
-				return core.NewBackendTask(d, opt)
-			})
-			name := fmt.Sprintf("task locality aff=%d half=%d adapt=%d",
-				mask&1, mask>>1&1, mask>>2&1)
-			check(name, equalState(ref, got), fmt.Sprintf("e0=%.9e", got.E[0]))
-		}
+	// 1b. The task backend's toggles are scheduling-only: every on/off
+	// combination of the paper's four techniques and steal-half must stay
+	// bitwise identical to serial.
+	for mask := 0; mask < 32; mask++ {
+		opt := core.DefaultOptions(*size, threads)
+		opt.Chain = mask&1 != 0
+		opt.Fuse = mask&2 != 0
+		opt.ParallelForces = mask&4 != 0
+		opt.ParallelRegions = mask&8 != 0
+		opt.StealHalf = mask&16 != 0
+		got := runBackend(func(d *domain.Domain) core.Backend {
+			return core.NewBackendTask(d, opt)
+		})
+		name := fmt.Sprintf("task chain=%d fuse=%d forces=%d regions=%d half=%d",
+			mask&1, mask>>1&1, mask>>2&1, mask>>3&1, mask>>4&1)
+		check(name, equalState(ref, got), fmt.Sprintf("e0=%.9e", got.E[0]))
 	}
 
 	// 1c. The slab field layout is memory-only: a domain built with the

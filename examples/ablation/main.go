@@ -35,9 +35,6 @@ func main() {
 			o.ParallelForces = false
 			o.ParallelRegions = false
 		}},
-		{"full + heavy-region priority", func(o *core.Options) {
-			o.PrioritizeHeavyRegions = true
-		}},
 	}
 
 	fmt.Printf("Technique ablation on a %d^3 Sedov problem, %d iterations, %d threads\n\n",

@@ -3,69 +3,12 @@ package amt
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
-// Tests for the locality layer: affinity-hinted spawns, placement-biased
-// ForEachBlockAt, the hit/miss counters, and steal-half migration. The
-// contract under test everywhere: hints and steal batching change only
-// *where* frames run, never *whether* or *how often*.
-
-// TestForEachBlockAtPropertyExactCover: ForEachBlockAt visits every index
-// of [begin, end) exactly once and never an index outside it, for
-// arbitrary ranges, grains, and home functions — including out-of-range
-// and negative (no-hint) homes — while workers steal concurrently.
-func TestForEachBlockAtPropertyExactCover(t *testing.T) {
-	s := newTestScheduler(t)
-	f := func(b int16, length int16, g int8, homeBase int8, homeStride int8) bool {
-		begin, end, grain := boundedRange(b, length, g)
-		home := func(lo, hi int) int {
-			// Arbitrary affine hint; negative values exercise the
-			// unhinted fallback, large ones the modulo reduction.
-			return int(homeBase) + lo*int(homeStride)
-		}
-		n := 0
-		if end > begin {
-			n = end - begin
-		}
-		hits := make([]atomic.Int32, n)
-		var outside atomic.Int32
-		ForEachBlockAt(s, begin, end, grain, home, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if i < begin || i >= end {
-					outside.Add(1)
-				} else {
-					hits[i-begin].Add(1)
-				}
-			}
-		}).Get()
-		if outside.Load() != 0 {
-			return false
-		}
-		for i := range hits {
-			if hits[i].Load() != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestForEachBlockAtNilHomeMatchesForEachBlock: a nil home function is the
-// documented equivalence with plain ForEachBlock.
-func TestForEachBlockAtNilHomeMatchesForEachBlock(t *testing.T) {
-	s := newTestScheduler(t)
-	var n atomic.Int32
-	ForEachBlockAt(s, 0, 1000, 64, nil, func(lo, hi int) {
-		n.Add(int32(hi - lo))
-	}).Get()
-	if n.Load() != 1000 {
-		t.Fatalf("covered %d indices, want 1000", n.Load())
-	}
-}
+// Tests for the locality layer: affinity-hinted spawns, the hit/miss
+// counters, and steal-half migration. The contract under test everywhere:
+// hints and steal batching change only *where* frames run, never
+// *whether* or *how often*.
 
 // TestSpawnAtRunsEverything: SpawnAt with in-range, out-of-range and
 // negative homes executes every task exactly once.
@@ -83,36 +26,6 @@ func TestSpawnAtRunsEverything(t *testing.T) {
 			t.Fatalf("task %d ran %d times, want 1", i, hits[i].Load())
 		}
 	}
-}
-
-// TestSpawnBatchAtRunsEverything: the batched form with a mixed homes
-// slice executes every task exactly once; nil homes degrades to
-// SpawnBatch; mismatched lengths panic.
-func TestSpawnBatchAtRunsEverything(t *testing.T) {
-	s := newTestScheduler(t)
-	const n = 64
-	hits := make([]atomic.Int32, n)
-	ts := make([]Task, n)
-	homes := make([]int, n)
-	for i := range ts {
-		i := i
-		ts[i] = func() { hits[i].Add(1) }
-		homes[i] = i%5 - 2 // negative entries fall back to round-robin
-	}
-	s.SpawnBatchAt(ts, homes)
-	s.SpawnBatchAt(nil, nil)
-	s.Quiesce()
-	for i := range hits {
-		if hits[i].Load() != 1 {
-			t.Fatalf("task %d ran %d times, want 1", i, hits[i].Load())
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SpawnBatchAt with mismatched homes length should panic")
-		}
-	}()
-	s.SpawnBatchAt(ts, homes[:n-1])
 }
 
 // TestAffinityCounters: every hinted task is counted exactly once as
@@ -166,19 +79,14 @@ func TestStealHalfDrainsPinnedBacklog(t *testing.T) {
 	defer s.Close()
 	const n = 4000
 	hits := make([]atomic.Int32, n)
-	ts := make([]Task, n)
-	homes := make([]int, n)
-	for i := range ts {
-		i := i
-		ts[i] = func() {
+	for i := 0; i < n; i++ {
+		s.SpawnAt(0, func() {
 			hits[i].Add(1)
 			for k := 0; k < 100; k++ { // widen the steal window
 				_ = k
 			}
-		}
-		homes[i] = 0
+		})
 	}
-	s.SpawnBatchAt(ts, homes)
 	s.Quiesce()
 	for i := range hits {
 		if hits[i].Load() != 1 {
@@ -197,17 +105,16 @@ func TestStealHalfDrainsPinnedBacklog(t *testing.T) {
 	}
 }
 
-// TestStealHalfForEachBlockAtExactCover is the race-lane composition test:
-// affinity-hinted parallel loops on a steal-half scheduler keep the
-// exactly-once contract under concurrent stealing.
-func TestStealHalfForEachBlockAtExactCover(t *testing.T) {
+// TestStealHalfForEachBlockExactCover is the race-lane composition test:
+// parallel loops on a steal-half scheduler keep the exactly-once contract
+// under concurrent stealing.
+func TestStealHalfForEachBlockExactCover(t *testing.T) {
 	s := NewScheduler(WithWorkers(4), WithStealHalf(true))
 	defer s.Close()
 	const n, grain = 1 << 14, 32
-	home := func(lo, hi int) int { return lo * 4 / n }
 	for rep := 0; rep < 8; rep++ {
 		hits := make([]atomic.Int32, n)
-		ForEachBlockAt(s, 0, n, grain, home, func(lo, hi int) {
+		ForEachBlock(s, 0, n, grain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hits[i].Add(1)
 			}
@@ -240,13 +147,13 @@ func TestRunAtThenRunAt(t *testing.T) {
 		t.Fatalf("order = %d, want 2", order.Load())
 	}
 
-	fns := make([]func(), 16)
 	var n atomic.Int32
-	for i := range fns {
-		fns[i] = func() { n.Add(1) }
+	var fs []*Void
+	for _, home := range []int{0, 1, 2, 3, -1, 5, 6, 7, 0, 1, 2, 3, -1, 5, 6, 7} {
+		fs = append(fs, RunAt(s, home, func() { n.Add(1) }))
 	}
-	AfterAll(s, RunBatchAt(s, fns, []int{0, 1, 2, 3, -1, 5, 6, 7, 0, 1, 2, 3, -1, 5, 6, 7})).Get()
+	AfterAll(s, fs).Get()
 	if n.Load() != 16 {
-		t.Fatalf("RunBatchAt ran %d tasks, want 16", n.Load())
+		t.Fatalf("RunAt ran %d tasks, want 16", n.Load())
 	}
 }

@@ -24,21 +24,6 @@ func BenchmarkSpawnThroughput(b *testing.B) {
 	s.Quiesce()
 }
 
-func BenchmarkSpawnBatchThroughput(b *testing.B) {
-	s := NewScheduler(WithWorkers(2))
-	defer s.Close()
-	ts := make([]Task, 16)
-	for i := range ts {
-		ts[i] = func() {}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.SpawnBatch(ts)
-	}
-	s.Quiesce()
-}
-
 func BenchmarkRunGetLatency(b *testing.B) {
 	s := NewScheduler(WithWorkers(2))
 	defer s.Close()
@@ -75,20 +60,6 @@ func BenchmarkAfterAllJoin(b *testing.B) {
 			fs = append(fs, Run(s, func() {}))
 		}
 		AfterAll(s, fs).Get()
-	}
-}
-
-func BenchmarkRunBatchJoin(b *testing.B) {
-	s := NewScheduler(WithWorkers(2))
-	defer s.Close()
-	fns := make([]func(), 16)
-	for i := range fns {
-		fns[i] = func() {}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AfterAll(s, RunBatch(s, fns)).Get()
 	}
 }
 
@@ -155,23 +126,20 @@ func BenchmarkReduce(b *testing.B) {
 // Quiesce must never hang, never observe a negative inflight count, and a
 // final Quiesce after the producer joins must account for every task —
 // the invariant the batched submission path (counts before frames) exists
-// to protect. Run under -race as part of the race lane.
+// to protect, exercised here through ForEachBlock's chunk batches. Run
+// under -race as part of the race lane.
 func TestQuiesceRacesConcurrentSpawn(t *testing.T) {
 	s := NewScheduler(WithWorkers(2))
 	defer s.Close()
 	var n atomic.Int64
-	const spawns = 3000
-	batch := make([]Task, 8)
-	for i := range batch {
-		batch[i] = func() { n.Add(1) }
-	}
+	const spawns, batch = 3000, 8
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < spawns; i++ {
 			if i%3 == 0 {
-				s.SpawnBatch(batch)
+				ForEachBlock(s, 0, batch, 1, func(lo, hi int) { n.Add(int64(hi - lo)) })
 			} else {
 				s.Spawn(func() { n.Add(1) })
 			}
@@ -189,7 +157,7 @@ func TestQuiesceRacesConcurrentSpawn(t *testing.T) {
 	wg.Wait()
 	s.Quiesce()
 	batches := int64((spawns + 2) / 3)
-	want := batches*int64(len(batch)) + (int64(spawns) - batches)
+	want := batches*batch + (int64(spawns) - batches)
 	if got := n.Load(); got != want {
 		t.Fatalf("after final Quiesce ran %d tasks, want %d", got, want)
 	}

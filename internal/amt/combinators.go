@@ -16,10 +16,10 @@ func Dataflow[A, B, R any](s *Scheduler, fa *Future[A], fb *Future[B],
 
 	out := newFuture[R](s)
 	l := newLatch(2, func() {
-		s.Spawn(func() { out.set(fn(fa.val, fb.val)) })
+		s.spawn(s.curPhase.Load(), noHome, func() { out.val = fn(fa.val, fb.val) }, out)
 	})
-	fa.onReady(l.arrive)
-	fb.onReady(l.arrive)
+	fa.onReady(l.complete)
+	fb.onReady(l.complete)
 	return out
 }
 
@@ -29,11 +29,11 @@ func Dataflow3[A, B, C, R any](s *Scheduler, fa *Future[A], fb *Future[B],
 
 	out := newFuture[R](s)
 	l := newLatch(3, func() {
-		s.Spawn(func() { out.set(fn(fa.val, fb.val, fc.val)) })
+		s.spawn(s.curPhase.Load(), noHome, func() { out.val = fn(fa.val, fb.val, fc.val) }, out)
 	})
-	fa.onReady(l.arrive)
-	fb.onReady(l.arrive)
-	fc.onReady(l.arrive)
+	fa.onReady(l.complete)
+	fb.onReady(l.complete)
+	fc.onReady(l.complete)
 	return out
 }
 
@@ -79,36 +79,17 @@ func (p *PanicError) Error() string {
 // stored in the future and rethrown (wrapped in *PanicError) by Get.
 func AsyncSafe[T any](s *Scheduler, fn func() T) *Future[T] {
 	f := newFuture[T](s)
-	s.Spawn(func() {
+	s.spawn(s.curPhase.Load(), noHome, func() {
 		defer func() {
 			if r := recover(); r != nil {
-				f.setPanic(&PanicError{Value: r})
+				f.mu.Lock()
+				f.panicErr = &PanicError{Value: r}
+				f.mu.Unlock()
 			}
 		}()
-		f.set(fn())
-	})
+		f.val = fn()
+	}, f)
 	return f
-}
-
-// setPanic completes the future exceptionally.
-func (f *Future[T]) setPanic(pe *PanicError) {
-	f.mu.Lock()
-	if f.done {
-		f.mu.Unlock()
-		panic("amt: future completed twice")
-	}
-	f.panicErr = pe
-	f.done = true
-	cbs := f.ready
-	f.ready = nil
-	ch := f.ch
-	f.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-	for _, cb := range cbs {
-		cb()
-	}
 }
 
 // Err returns the captured panic of an exceptionally completed future, or

@@ -191,16 +191,14 @@ func TestTaskSinkStolenFlag(t *testing.T) {
 	s.SetSink(sink)
 
 	// Pin everything on worker 0 so the other three must steal.
-	var fns []func()
+	var fs []*Void
 	for i := 0; i < 256; i++ {
-		fns = append(fns, func() { time.Sleep(20 * time.Microsecond) })
+		fs = append(fs, RunAt(s, 0, func() { time.Sleep(20 * time.Microsecond) }))
 	}
-	homes := make([]int, len(fns))
-	WaitAll(RunBatchAt(s, fns, homes))
-	s.Quiesce()
+	WaitAll(fs)
 
-	if sink.tasks.Load() != int64(len(fns)) {
-		t.Fatalf("sink saw %d tasks, want %d", sink.tasks.Load(), len(fns))
+	if sink.tasks.Load() != int64(len(fs)) {
+		t.Fatalf("sink saw %d tasks, want %d", sink.tasks.Load(), len(fs))
 	}
 	if sink.stolen.Load() == 0 {
 		t.Skip("no steals occurred (single-core timing); stolen flag untestable here")

@@ -6,15 +6,20 @@ import (
 )
 
 // frame is the unit of queued work: either a plain task body (fn) or a
-// block of a parallel algorithm (body over [lo, hi)) with an optional
-// completion latch. Frames are pooled so the steady-state dispatch path of
-// a parallel region performs no per-chunk heap allocation — the analog of
+// block of a parallel algorithm (body over [lo, hi)), with an optional
+// completion. Frames are pooled so the steady-state dispatch path of a
+// parallel region performs no per-chunk heap allocation — the analog of
 // HPX recycling its task descriptors.
 type frame struct {
-	fn     Task             // plain task body (Spawn, SpawnHigh, SpawnBatch)
+	fn     Task             // plain task body (Spawn, SpawnAt, futures)
 	body   func(lo, hi int) // block body (ForEachBlock, Reduce)
 	lo, hi int              // block bounds when body is set
-	latch  *latch           // fired after the body returns, if non-nil
+
+	// done is fired by the executing worker after the body returns and
+	// the task has been recorded (see pool.run): the future the task
+	// resolves, or the latch of the parallel region it belongs to. nil
+	// for fire-and-forget Spawn.
+	done completer
 
 	// home is the frame's affinity hint: the worker whose cache is
 	// expected to hold the frame's data, or -1 when unhinted. Placement
@@ -56,23 +61,24 @@ const noHome = -1
 // newFrame returns a cleared frame from the pool.
 func newFrame() *frame { return framePool.Get().(*frame) }
 
-// run executes the frame's body, recycles the frame, and then fires the
-// latch. The frame is returned to the pool before the latch fires so a
-// completion callback that spawns more work can reuse it immediately; the
-// frame must not be touched after run returns.
+// completer is what a frame completes once its body has run and the task
+// has been recorded: a *Future (the value the body stored becomes
+// visible) or a *latch (one arrival).
+type completer interface{ complete() }
+
+// run executes the frame's body and recycles the frame, so a completion
+// that spawns more work can reuse it immediately. The caller reads the
+// frame's tags (including done) first; the frame must not be touched
+// after run returns.
 func (f *frame) run() {
 	if f.fn != nil {
 		f.fn()
 	} else {
 		f.body(f.lo, f.hi)
 	}
-	l := f.latch
-	f.fn, f.body, f.latch, f.home = nil, nil, nil, noHome
+	f.fn, f.body, f.done, f.home = nil, nil, nil, noHome
 	f.phase, f.stolen, f.enq, f.job = 0, false, time.Time{}, nil
 	framePool.Put(f)
-	if l != nil {
-		l.arrive()
-	}
 }
 
 // deque is a mutex-protected double-ended queue of task frames backed by a

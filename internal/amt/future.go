@@ -61,6 +61,11 @@ func (f *Future[T]) set(v T) {
 	}
 }
 
+// complete marks the future ready with the value its task body already
+// stored in val. The worker calls it only after recording the task (see
+// pool.run), so a waiter woken here sees the task in every counter.
+func (f *Future[T]) complete() { f.set(f.val) }
+
 // onReady arranges for cb to run inline (on the completing goroutine) once
 // the future is ready. It is the low-overhead hook used by combinators;
 // user-visible continuations go through Then, which spawns a real task.
@@ -116,98 +121,21 @@ func (f *Future[T]) Scheduler() *Scheduler { return f.s }
 // result, analogous to hpx::async.
 func Async[T any](s *Scheduler, fn func() T) *Future[T] {
 	f := newFuture[T](s)
-	s.Spawn(func() { f.set(fn()) })
+	s.spawn(s.curPhase.Load(), noHome, func() { f.val = fn() }, f)
 	return f
 }
 
 // Run submits a void task and returns a Void future that becomes ready when
 // it finishes.
-func Run(s *Scheduler, fn func()) *Void {
-	f := newFuture[Unit](s)
-	s.Spawn(func() {
-		fn()
-		f.set(Unit{})
-	})
-	return f
-}
+func Run(s *Scheduler, fn func()) *Void { return RunAt(s, noHome, fn) }
 
 // RunAt submits a void task with an affinity hint (SpawnAt): the task is
 // placed on worker home's deque so data it re-touches stays in that
 // worker's cache. home < 0 degrades to Run.
 func RunAt(s *Scheduler, home int, fn func()) *Void {
 	f := newFuture[Unit](s)
-	s.SpawnAt(home, func() {
-		fn()
-		f.set(Unit{})
-	})
+	s.spawn(s.curPhase.Load(), home, fn, f)
 	return f
-}
-
-// RunBatch submits one independent void task per function with a single
-// batched spawn — one bookkeeping update and one wake sweep instead of
-// len(fns) — and returns a future per task. Use AfterAll to join them.
-func RunBatch(s *Scheduler, fns []func()) []*Void {
-	outs := make([]*Void, len(fns))
-	ts := make([]Task, len(fns))
-	for i, fn := range fns {
-		f := newFuture[Unit](s)
-		outs[i] = f
-		fn, f := fn, f
-		ts[i] = func() {
-			fn()
-			f.set(Unit{})
-		}
-	}
-	s.SpawnBatch(ts)
-	return outs
-}
-
-// RunBatchAt is RunBatch with per-task affinity hints (SpawnBatchAt).
-// homes may be nil, in which case placement falls back to round-robin.
-func RunBatchAt(s *Scheduler, fns []func(), homes []int) []*Void {
-	outs := make([]*Void, len(fns))
-	ts := make([]Task, len(fns))
-	for i, fn := range fns {
-		f := newFuture[Unit](s)
-		outs[i] = f
-		fn, f := fn, f
-		ts[i] = func() {
-			fn()
-			f.set(Unit{})
-		}
-	}
-	s.SpawnBatchAt(ts, homes)
-	return outs
-}
-
-// ThenRunBatchAt attaches one void continuation per function to f. When f
-// becomes ready the whole family is submitted with a single batched,
-// home-interleaved spawn (SpawnBatchAt) — one bookkeeping update and one
-// wake sweep instead of len(fns) spawn/wake round-trips, and every
-// worker's hinted frames land on its deque within the first placement
-// round. This is the launch shape of a barrier→stage transition in the
-// task backend: all of a stage's partition chains become ready at once.
-// homes may be nil (round-robin placement, the BatchSpawn-only case).
-func ThenRunBatchAt[T any](f *Future[T], fns []func(T), homes []int) []*Void {
-	outs := make([]*Void, len(fns))
-	ts := make([]Task, len(fns))
-	for i, fn := range fns {
-		out := newFuture[Unit](f.s)
-		outs[i] = out
-		fn, out := fn, out
-		ts[i] = func() {
-			fn(f.val)
-			out.set(Unit{})
-		}
-	}
-	if len(ts) > 0 {
-		// Capture the phase now, at attach time during the sequential graph
-		// construction: when the barrier trips and the batch actually spawns
-		// the scheduler may already be publishing the next phase tag.
-		ph := f.s.curPhase.Load()
-		f.onReady(func() { f.s.spawnBatchAtPhase(ph, ts, homes) })
-	}
-	return outs
 }
 
 // Then attaches a continuation to f, analogous to hpx::future<T>::then.
@@ -217,23 +145,13 @@ func Then[T, U any](f *Future[T], fn func(T) U) *Future[U] {
 	out := newFuture[U](f.s)
 	ph := f.s.curPhase.Load() // attach-time phase, not trip-time
 	f.onReady(func() {
-		f.s.spawnPhase(ph, func() { out.set(fn(f.val)) })
+		f.s.spawn(ph, noHome, func() { out.val = fn(f.val) }, out)
 	})
 	return out
 }
 
 // ThenRun attaches a void continuation to f.
-func ThenRun[T any](f *Future[T], fn func(T)) *Void {
-	out := newFuture[Unit](f.s)
-	ph := f.s.curPhase.Load()
-	f.onReady(func() {
-		f.s.spawnPhase(ph, func() {
-			fn(f.val)
-			out.set(Unit{})
-		})
-	})
-	return out
-}
+func ThenRun[T any](f *Future[T], fn func(T)) *Void { return ThenRunAt(f, noHome, fn) }
 
 // ThenRunAt attaches a void continuation with an affinity hint: once f is
 // ready, fn runs as a task placed on worker home's deque. This is what
@@ -245,16 +163,13 @@ func ThenRunAt[T any](f *Future[T], home int, fn func(T)) *Void {
 	out := newFuture[Unit](f.s)
 	ph := f.s.curPhase.Load()
 	f.onReady(func() {
-		f.s.spawnAtPhase(ph, home, func() {
-			fn(f.val)
-			out.set(Unit{})
-		})
+		f.s.spawn(ph, home, func() { fn(f.val) }, out)
 	})
 	return out
 }
 
-// latch is a single-word atomic countdown: arrive() signals one event and
-// the last arrival runs done inline. It is the join primitive behind the
+// latch is a single-word atomic countdown: complete() signals one arrival
+// and the last arrival runs done inline. It is the join primitive behind the
 // all-of combinators and the parallel algorithms — one atomic decrement
 // per chunk instead of a mutex acquisition or a per-chunk future. n must
 // be > 0.
@@ -269,7 +184,7 @@ func newLatch(n int, done func()) *latch {
 	return l
 }
 
-func (l *latch) arrive() {
+func (l *latch) complete() {
 	if l.left.Add(-1) == 0 {
 		l.done()
 	}
@@ -287,7 +202,7 @@ func AfterAll(s *Scheduler, fs []*Void) *Void {
 	}
 	l := newLatch(len(fs), func() { out.set(Unit{}) })
 	for _, f := range fs {
-		f.onReady(l.arrive)
+		f.onReady(l.complete)
 	}
 	return out
 }
@@ -299,19 +214,14 @@ func AfterAll(s *Scheduler, fs []*Void) *Void {
 func AfterAllRun(s *Scheduler, fs []*Void, fn func()) *Void {
 	out := newFuture[Unit](s)
 	ph := s.curPhase.Load() // attach-time phase, not trip-time
-	launch := func() {
-		s.spawnPhase(ph, func() {
-			fn()
-			out.set(Unit{})
-		})
-	}
+	launch := func() { s.spawn(ph, noHome, fn, out) }
 	if len(fs) == 0 {
 		launch()
 		return out
 	}
 	l := newLatch(len(fs), launch)
 	for _, f := range fs {
-		f.onReady(l.arrive)
+		f.onReady(l.complete)
 	}
 	return out
 }
@@ -331,7 +241,7 @@ func WhenAll[T any](s *Scheduler, fs []*Future[T]) *Future[[]T] {
 		i, f := i, f
 		f.onReady(func() {
 			vals[i] = f.val
-			l.arrive()
+			l.complete()
 		})
 	}
 	return out
@@ -343,28 +253,4 @@ func WaitAll(fs []*Void) {
 	for _, f := range fs {
 		f.Get()
 	}
-}
-
-// RunHigh submits a void task at high priority and returns a Void future
-// for its completion.
-func RunHigh(s *Scheduler, fn func()) *Void {
-	f := newFuture[Unit](s)
-	s.SpawnHigh(func() {
-		fn()
-		f.set(Unit{})
-	})
-	return f
-}
-
-// ThenRunHigh attaches a high-priority void continuation to f.
-func ThenRunHigh[T any](f *Future[T], fn func(T)) *Void {
-	out := newFuture[Unit](f.s)
-	ph := f.s.curPhase.Load()
-	f.onReady(func() {
-		f.s.spawnHighPhase(ph, func() {
-			fn(f.val)
-			out.set(Unit{})
-		})
-	})
-	return out
 }

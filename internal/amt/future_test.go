@@ -260,40 +260,11 @@ func TestLatchConcurrentArrivals(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.arrive()
+			l.complete()
 		}()
 	}
 	wg.Wait()
 	if hit.Load() != 1 {
 		t.Fatalf("latch ran done %d times, want exactly 1", hit.Load())
-	}
-}
-
-func TestRunBatchFuturesComplete(t *testing.T) {
-	s := newTestScheduler(t)
-	var n atomic.Int64
-	fns := make([]func(), 32)
-	for i := range fns {
-		fns[i] = func() { n.Add(1) }
-	}
-	outs := RunBatch(s, fns)
-	if len(outs) != len(fns) {
-		t.Fatalf("RunBatch returned %d futures, want %d", len(outs), len(fns))
-	}
-	AfterAll(s, outs).Get()
-	if got := n.Load(); got != int64(len(fns)) {
-		t.Fatalf("ran %d fns, want %d", got, len(fns))
-	}
-	for i, f := range outs {
-		if !f.Ready() {
-			t.Fatalf("future %d not ready after AfterAll join", i)
-		}
-	}
-}
-
-func TestRunBatchEmpty(t *testing.T) {
-	s := newTestScheduler(t)
-	if outs := RunBatch(s, nil); len(outs) != 0 {
-		t.Fatalf("RunBatch(nil) returned %d futures, want 0", len(outs))
 	}
 }

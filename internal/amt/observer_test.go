@@ -31,6 +31,46 @@ func TestWithObserverReceivesSpans(t *testing.T) {
 	}
 }
 
+// TestObservationBeforeCompletion: the worker records a task — counters,
+// observer, job sink, both in-flight counts — before it completes the
+// task's future or latch, so a reader right after WaitAll sees every task
+// without quiescing. Deterministic: no sleeps, exact counts every round,
+// through both completion paths (futures and a parallel region's latch).
+func TestObservationBeforeCompletion(t *testing.T) {
+	var observed atomic.Int64
+	s := NewScheduler(WithWorkers(2),
+		WithObserver(func(int, time.Time, time.Duration) { observed.Add(1) }))
+	defer s.Close()
+	sink := &recordingSink{}
+	s.SetSink(sink)
+	const n = 32
+	for round := 0; round < 200; round++ {
+		s.ResetCounters()
+		observed.Store(0)
+		sink.tasks.Store(0)
+		fs := make([]*Void, 0, n+1)
+		for i := 0; i < n; i++ {
+			fs = append(fs, Run(s, func() {}))
+		}
+		fs = append(fs, ForEachBlock(s, 0, n, 1, func(int, int) {}))
+		WaitAll(fs)
+		const want = 2 * n
+		if got := s.CountersSnapshot().Tasks; got != want {
+			t.Fatalf("round %d: Counters().Tasks = %d after WaitAll, want %d", round, got, want)
+		}
+		if got := observed.Load(); got != want {
+			t.Fatalf("round %d: observer saw %d tasks after WaitAll, want %d", round, got, want)
+		}
+		if got := sink.tasks.Load(); got != want {
+			t.Fatalf("round %d: sink saw %d tasks after WaitAll, want %d", round, got, want)
+		}
+		if s.Inflight() != 0 || s.PoolInflight() != 0 {
+			t.Fatalf("round %d: inflight %d / pool %d after WaitAll, want 0",
+				round, s.Inflight(), s.PoolInflight())
+		}
+	}
+}
+
 func TestSetObserverAtRuntime(t *testing.T) {
 	s := NewScheduler(WithWorkers(1))
 	defer s.Close()

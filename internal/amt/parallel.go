@@ -19,19 +19,6 @@ import "time"
 // task, and returns a Void future that becomes ready when every chunk has
 // finished. grain < 1 is treated as a single chunk spanning the whole range.
 func ForEachBlock(s *Scheduler, begin, end, grain int, body func(lo, hi int)) *Void {
-	return ForEachBlockAt(s, begin, end, grain, nil, body)
-}
-
-// ForEachBlockAt is ForEachBlock with locality-aware placement: when home
-// is non-nil, each chunk [lo, hi) is enqueued directly on worker
-// home(lo, hi)'s deque (reduced modulo the worker count) and tagged with
-// that affinity hint, so repeated regions over the same range keep each
-// slice on one worker's cache. A negative home(lo, hi) falls back to the
-// default spread for that chunk. Hints bias placement only; stealing
-// still rebalances, and every index is executed exactly once either way.
-func ForEachBlockAt(s *Scheduler, begin, end, grain int,
-	home func(lo, hi int) int, body func(lo, hi int)) *Void {
-
 	out := newFuture[Unit](s)
 	if end <= begin {
 		out.done = true
@@ -52,28 +39,6 @@ func ForEachBlockAt(s *Scheduler, begin, end, grain int,
 		enq = time.Now()
 	}
 	s.beginBatch(nchunks)
-	if home == nil {
-		c := 0
-		for lo := begin; lo < end; lo += grain {
-			hi := lo + grain
-			if hi > end {
-				hi = end
-			}
-			f := newFrame()
-			f.body, f.lo, f.hi, f.latch = body, lo, hi, l
-			f.phase, f.enq, f.job = ph, enq, s
-			s.enqueueAt(c, f)
-			c++
-		}
-		s.p.wakeN(nchunks)
-		return out
-	}
-	// Hinted chunks are placed home-interleaved (see pushInterleaved):
-	// ascending-lo emission under a block-distributed home would push all
-	// of worker 0's chunks before worker 1's and hand the early chunks to
-	// whichever worker is already idle-stealing.
-	frames := make([]*frame, nchunks)
-	targets := make([]int, nchunks)
 	c := 0
 	for lo := begin; lo < end; lo += grain {
 		hi := lo + grain
@@ -81,18 +46,11 @@ func ForEachBlockAt(s *Scheduler, begin, end, grain int,
 			hi = end
 		}
 		f := newFrame()
-		f.body, f.lo, f.hi, f.latch = body, lo, hi, l
+		f.body, f.lo, f.hi, f.done = body, lo, hi, l
 		f.phase, f.enq, f.job = ph, enq, s
-		i := c % s.p.nw
-		if h := home(lo, hi); h >= 0 {
-			i = h % s.p.nw
-			f.home = int32(i)
-		}
-		frames[c] = f
-		targets[c] = i
+		s.enqueueAt(c, f)
 		c++
 	}
-	s.p.pushInterleaved(frames, targets)
 	s.p.wakeN(nchunks)
 	return out
 }
@@ -161,7 +119,7 @@ func Reduce[T any](s *Scheduler, begin, end, grain int, identity T,
 			hi = end
 		}
 		f := newFrame()
-		f.body, f.lo, f.hi, f.latch = body, lo, hi, l
+		f.body, f.lo, f.hi, f.done = body, lo, hi, l
 		f.phase, f.enq, f.job = ph, enq, s
 		s.enqueueAt(c, f)
 		c++

@@ -57,8 +57,8 @@ type pool struct {
 	pending atomic.Int64
 
 	// inflight counts tasks submitted and not yet finished, across all
-	// jobs. Close waits for it to reach zero before stopping the workers.
-	inflight atomic.Int64
+	// jobs. Close waits for it to drain before stopping the workers.
+	inflight flight
 
 	rr atomic.Uint64 // round-robin cursor for external submissions
 
@@ -94,8 +94,8 @@ type Scheduler struct {
 	root bool
 
 	// inflight counts this job's submitted-but-unfinished tasks. Quiesce
-	// waits for it to reach zero; other jobs' tasks never block it.
-	inflight atomic.Int64
+	// waits for it to drain; other jobs' tasks never block it.
+	inflight flight
 
 	// curPhase is the solver phase tag stamped onto newly spawned frames
 	// (SetPhase). Continuation-attach sites capture it at attach time, so
@@ -151,8 +151,7 @@ func (s *Scheduler) stamp(f *frame, ph uint32) {
 
 type worker struct {
 	id      int
-	dq      deque // normal-priority tasks
-	hp      deque // high-priority tasks (HPX's priority local scheduling)
+	dq      deque
 	rng     *rand.Rand
 	busy    atomic.Int64 // nanoseconds spent executing task bodies
 	tasks   atomic.Int64 // number of tasks executed
@@ -269,22 +268,7 @@ func (s *Scheduler) Workers() int { return s.p.nw }
 
 // Spawn submits a task for asynchronous execution. It never blocks.
 // Spawning on a closed scheduler panics.
-func (s *Scheduler) Spawn(t Task) { s.spawnPhase(s.curPhase.Load(), t) }
-
-// spawnPhase is Spawn with an explicit phase tag — the internal entry
-// continuation-attach sites use after capturing the phase at attach time.
-func (s *Scheduler) spawnPhase(ph uint32, t Task) {
-	if t == nil {
-		panic("amt: Spawn called with nil task")
-	}
-	f := newFrame()
-	f.fn = t
-	s.stamp(f, ph)
-	s.beginBatch(1)
-	i := int(s.p.rr.Add(1)-1) % s.p.nw
-	s.p.workers[i].dq.pushBottom(f)
-	s.p.wake()
-}
+func (s *Scheduler) Spawn(t Task) { s.spawn(s.curPhase.Load(), noHome, t, nil) }
 
 // SpawnAt submits a task with an affinity hint: the frame is placed
 // directly on worker home's deque (reduced modulo the worker count) and
@@ -293,118 +277,31 @@ func (s *Scheduler) spawnPhase(ph uint32, t Task) {
 // placement only — idle workers still steal the frame, so affinity never
 // causes starvation; it just makes the common, balanced case re-touch
 // data where it is already cached.
-func (s *Scheduler) SpawnAt(home int, t Task) {
-	s.spawnAtPhase(s.curPhase.Load(), home, t)
-}
+func (s *Scheduler) SpawnAt(home int, t Task) { s.spawn(s.curPhase.Load(), home, t, nil) }
 
-func (s *Scheduler) spawnAtPhase(ph uint32, home int, t Task) {
+// spawn is the one submission path behind Spawn, SpawnAt and the future
+// constructors: ph is the phase tag (captured at attach time for
+// continuations), home the affinity hint (negative: round-robin), and
+// done, when non-nil, the completion the worker fires after recording
+// the task (see pool.run).
+func (s *Scheduler) spawn(ph uint32, home int, t Task, done completer) {
 	if t == nil {
-		panic("amt: SpawnAt called with nil task")
-	}
-	if home < 0 {
-		s.spawnPhase(ph, t)
-		return
-	}
-	home %= s.p.nw
-	f := newFrame()
-	f.fn = t
-	f.home = int32(home)
-	s.stamp(f, ph)
-	s.beginBatch(1)
-	s.p.workers[home].dq.pushBottom(f)
-	s.p.wake()
-}
-
-// SpawnBatchAt is SpawnBatch with per-task affinity hints: task ts[i] is
-// placed on worker homes[i] (negative entries fall back to round-robin).
-// homes may be nil, making it equivalent to SpawnBatch. Like SpawnBatch it
-// performs one bookkeeping update and one wake sweep for the whole batch.
-func (s *Scheduler) SpawnBatchAt(ts []Task, homes []int) {
-	s.spawnBatchAtPhase(s.curPhase.Load(), ts, homes)
-}
-
-func (s *Scheduler) spawnBatchAtPhase(ph uint32, ts []Task, homes []int) {
-	if homes == nil {
-		s.spawnBatchPhase(ph, ts)
-		return
-	}
-	n := len(ts)
-	if n == 0 {
-		return
-	}
-	if len(homes) != n {
-		panic("amt: SpawnBatchAt homes/tasks length mismatch")
-	}
-	for _, t := range ts {
-		if t == nil {
-			panic("amt: SpawnBatchAt called with nil task")
-		}
-	}
-	s.beginBatch(n)
-	base := int(s.p.rr.Add(uint64(n)) - uint64(n))
-	frames := make([]*frame, n)
-	targets := make([]int, n)
-	for k, t := range ts {
-		f := newFrame()
-		f.fn = t
-		i := (base + k) % s.p.nw
-		if h := homes[k]; h >= 0 {
-			i = h % s.p.nw
-			f.home = int32(i)
-		}
-		s.stamp(f, ph)
-		frames[k] = f
-		targets[k] = i
-	}
-	s.p.pushInterleaved(frames, targets)
-	s.p.wakeN(n)
-}
-
-// SpawnHigh submits a high-priority task: workers drain high-priority
-// queues (their own and steals) before any normal task, mirroring HPX's
-// priority local scheduling policy. Relative order among equal-priority
-// tasks is unchanged.
-func (s *Scheduler) SpawnHigh(t Task) { s.spawnHighPhase(s.curPhase.Load(), t) }
-
-func (s *Scheduler) spawnHighPhase(ph uint32, t Task) {
-	if t == nil {
-		panic("amt: SpawnHigh called with nil task")
+		panic("amt: Spawn called with nil task")
 	}
 	f := newFrame()
 	f.fn = t
+	f.done = done
+	var i int
+	if home >= 0 {
+		i = home % s.p.nw
+		f.home = int32(i)
+	} else {
+		i = int(s.p.rr.Add(1)-1) % s.p.nw
+	}
 	s.stamp(f, ph)
 	s.beginBatch(1)
-	i := int(s.p.rr.Add(1)-1) % s.p.nw
-	s.p.workers[i].hp.pushBottom(f)
+	s.p.workers[i].dq.pushBottom(f)
 	s.p.wake()
-}
-
-// SpawnBatch submits every task in ts with one bookkeeping update, one
-// round-robin placement sweep and a single wake of the idle workers,
-// instead of len(ts) Spawn/wake round-trips. It never blocks. The batch
-// counts as submitted atomically: pending and inflight are raised before
-// any frame is visible, preserving the lost-wakeup-free park protocol.
-func (s *Scheduler) SpawnBatch(ts []Task) { s.spawnBatchPhase(s.curPhase.Load(), ts) }
-
-func (s *Scheduler) spawnBatchPhase(ph uint32, ts []Task) {
-	n := len(ts)
-	if n == 0 {
-		return
-	}
-	for _, t := range ts {
-		if t == nil {
-			panic("amt: SpawnBatch called with nil task")
-		}
-	}
-	s.beginBatch(n)
-	base := int(s.p.rr.Add(uint64(n)) - uint64(n))
-	for k, t := range ts {
-		f := newFrame()
-		f.fn = t
-		s.stamp(f, ph)
-		s.p.workers[(base+k)%s.p.nw].dq.pushBottom(f)
-	}
-	s.p.wakeN(n)
 }
 
 // beginBatch raises the pending/inflight tickets for n frames about to be
@@ -413,8 +310,8 @@ func (s *Scheduler) spawnBatchPhase(ph uint32, ts []Task) {
 // job's own inflight rises alongside the pool's: Quiesce watches the
 // former, Close the latter.
 func (s *Scheduler) beginBatch(n int) {
-	s.inflight.Add(int64(n))
-	s.p.inflight.Add(int64(n))
+	s.inflight.add(int64(n))
+	s.p.inflight.add(int64(n))
 	s.p.pending.Add(int64(n))
 }
 
@@ -450,50 +347,6 @@ func (p *pool) wakeN(n int) {
 	p.mu.Unlock()
 }
 
-// pushInterleaved pushes pre-counted frames onto their target deques in
-// round-robin order across workers (first frame of every worker, then the
-// second of every worker, ...), preserving submission order within each
-// deque. Launch sites enumerate mesh partitions in ascending order, which
-// under a block-distributed affinity map emits all of worker 0's frames
-// before any of worker 1's; pushed in that order, a worker going idle at a
-// stage boundary sees only *other* workers' hinted frames and steals them
-// — and the owners then steal the thief's late-arriving frames back, so
-// under contention roughly half of all hinted frames migrated (measured
-// ~50% affinity hit rate on 2 workers, i.e. chance). Interleaving makes
-// every worker's first frame land within the first sweep round, so wakers
-// and spinning thieves find their own work before resorting to stealing.
-func (p *pool) pushInterleaved(frames []*frame, targets []int) {
-	// Counting sort by target worker — three fixed-size allocations, no
-	// slice regrowth: start[w] marks worker w's group in sorted, cur[w]
-	// doubles as the fill cursor and then the round-robin walk cursor.
-	n := len(frames)
-	start := make([]int, p.nw+1)
-	for _, w := range targets {
-		start[w+1]++
-	}
-	for w := 0; w < p.nw; w++ {
-		start[w+1] += start[w]
-	}
-	sorted := make([]*frame, n)
-	cur := make([]int, p.nw)
-	copy(cur, start)
-	for k, f := range frames {
-		w := targets[k]
-		sorted[cur[w]] = f
-		cur[w]++
-	}
-	copy(cur, start)
-	for left := n; left > 0; {
-		for w := 0; w < p.nw; w++ {
-			if cur[w] < start[w+1] {
-				p.workers[w].dq.pushBottom(sorted[cur[w]])
-				cur[w]++
-				left--
-			}
-		}
-	}
-}
-
 // spinRounds bounds the busy-wait of an idle worker before it parks,
 // mirroring HPX's brief active wait between task arrivals.
 const spinRounds = 1 << 12
@@ -518,7 +371,7 @@ func (p *pool) run(w *worker) {
 		// Read the tags before run() recycles the frame. job identifies
 		// the front-end the frame was spawned through: its sink gets the
 		// record, its inflight count the decrement.
-		job, home, phase, stolen, enq := t.job, t.home, t.phase, t.stolen, t.enq
+		job, home, phase, stolen, enq, done := t.job, t.home, t.phase, t.stolen, t.enq, t.done
 		start := time.Now()
 		t.run()
 		dur := time.Since(start)
@@ -541,37 +394,31 @@ func (p *pool) run(w *worker) {
 			}
 			(*sk).RecordTask(w.id, phase, start, dur, qw, stolen)
 		}
-		job.inflight.Add(-1)
-		p.inflight.Add(-1)
+		// Observation before completion: a waiter woken by done (a future
+		// set, a latch's last arrival) must find this task already in the
+		// counters, the observer, the sink and out of both in-flight
+		// counts.
+		if done == nil {
+			job.inflight.finish()
+			p.inflight.finish()
+			continue
+		}
+		job.inflight.beginComplete()
+		p.inflight.beginComplete()
+		done.complete()
+		job.inflight.endComplete()
+		p.inflight.endComplete()
 	}
 }
 
-// find looks for runnable work: own high-priority queue, every other
-// worker's high-priority queue, own normal queue, then normal steals.
+// find looks for runnable work: own queue first, then steals.
 func (p *pool) find(w *worker) *frame {
-	if t := w.hp.popBottom(); t != nil {
-		p.pending.Add(-1)
-		return t
-	}
-	off := w.rng.Intn(p.nw)
-	for k := 0; k < p.nw; k++ {
-		v := p.workers[(off+k)%p.nw]
-		if v == w {
-			continue
-		}
-		if t := v.hp.popTop(); t != nil {
-			p.pending.Add(-1)
-			w.steal.Add(1)
-			w.stolen.Add(1)
-			t.stolen = true
-			return t
-		}
-	}
 	if t := w.dq.popBottom(); t != nil {
 		p.pending.Add(-1)
 		return t
 	}
 	// Steal: scan victims starting from a random offset so thieves spread.
+	off := w.rng.Intn(p.nw)
 	for k := 0; k < p.nw; k++ {
 		v := p.workers[(off+k)%p.nw]
 		if v == w {
@@ -656,7 +503,7 @@ func (p *pool) park(w *worker) bool {
 // executing. Other jobs sharing the pool neither block it nor are waited
 // for. It may be called from outside the pool only.
 func (s *Scheduler) Quiesce() {
-	for s.inflight.Load() != 0 {
+	for !s.inflight.idle() {
 		runtime.Gosched()
 	}
 }
@@ -672,7 +519,7 @@ func (s *Scheduler) Close() {
 		s.Quiesce()
 		return
 	}
-	for s.p.inflight.Load() != 0 {
+	for !s.p.inflight.idle() {
 		runtime.Gosched()
 	}
 	s.p.mu.Lock()
@@ -814,8 +661,36 @@ func (s *Scheduler) CountersSnapshot() Counters {
 
 // Inflight reports the number of this front-end's submitted-but-unfinished
 // tasks. Intended for tests and debugging assertions.
-func (s *Scheduler) Inflight() int64 { return s.inflight.Load() }
+func (s *Scheduler) Inflight() int64 { return s.inflight.tasks() }
 
 // PoolInflight reports the number of submitted-but-unfinished tasks across
 // every job on the pool.
-func (s *Scheduler) PoolInflight() int64 { return s.p.inflight.Load() }
+func (s *Scheduler) PoolInflight() int64 { return s.p.inflight.tasks() }
+
+// flight is an in-flight count that stays exact across completions. The
+// low 32 bits count tasks submitted and not yet finished; the high 32
+// bits count finished tasks whose completion (a future set or a latch
+// arrival, which may spawn continuations) is still firing. A worker moves
+// a task from the low half to the high half in one atomic add, so the
+// task leaves the in-flight count before its completion fires while
+// idle — the whole word zero — still cannot be observed between the task
+// finishing and the continuations its completion spawns.
+type flight struct{ w atomic.Int64 }
+
+const completing = 1 << 32
+
+func (f *flight) add(n int64) { f.w.Add(n) }
+
+// finish retires a task that has no completion.
+func (f *flight) finish() { f.w.Add(-1) }
+
+// beginComplete retires a task whose completion is about to fire;
+// endComplete marks that completion done.
+func (f *flight) beginComplete() { f.w.Add(completing - 1) }
+func (f *flight) endComplete()   { f.w.Add(-completing) }
+
+// tasks reports the submitted-but-unfinished task count.
+func (f *flight) tasks() int64 { return int64(int32(f.w.Load())) }
+
+// idle reports no task in flight and no completion firing.
+func (f *flight) idle() bool { return f.w.Load() == 0 }

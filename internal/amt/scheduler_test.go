@@ -205,62 +205,3 @@ func TestSchedulerManySmallTasksStress(t *testing.T) {
 		t.Fatalf("stress: ran %d of %d", n.Load(), total)
 	}
 }
-
-func TestSpawnBatchRunsAllTasks(t *testing.T) {
-	s := NewScheduler(WithWorkers(4))
-	defer s.Close()
-	var n atomic.Int64
-	const batches, width = 200, 16
-	ts := make([]Task, width)
-	for i := range ts {
-		ts[i] = func() { n.Add(1) }
-	}
-	for i := 0; i < batches; i++ {
-		s.SpawnBatch(ts)
-	}
-	s.Quiesce()
-	if got := n.Load(); got != batches*width {
-		t.Fatalf("executed %d tasks, want %d", got, batches*width)
-	}
-}
-
-func TestSpawnBatchEmptyIsNoop(t *testing.T) {
-	s := NewScheduler(WithWorkers(1))
-	defer s.Close()
-	s.SpawnBatch(nil)
-	s.SpawnBatch([]Task{})
-	s.Quiesce()
-	if got := s.Inflight(); got != 0 {
-		t.Fatalf("inflight = %d after empty batches, want 0", got)
-	}
-}
-
-func TestSpawnBatchNilTaskPanics(t *testing.T) {
-	s := NewScheduler(WithWorkers(1))
-	defer s.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SpawnBatch with a nil task should panic")
-		}
-	}()
-	s.SpawnBatch([]Task{func() {}, nil})
-}
-
-func TestSpawnBatchNestedInsideTasks(t *testing.T) {
-	s := NewScheduler(WithWorkers(2))
-	defer s.Close()
-	var n atomic.Int64
-	inner := make([]Task, 8)
-	for i := range inner {
-		inner[i] = func() { n.Add(1) }
-	}
-	outer := make([]Task, 4)
-	for i := range outer {
-		outer[i] = func() { s.SpawnBatch(inner) }
-	}
-	s.SpawnBatch(outer)
-	s.Quiesce()
-	if got := n.Load(); got != int64(len(outer)*len(inner)) {
-		t.Fatalf("executed %d inner tasks, want %d", got, len(outer)*len(inner))
-	}
-}

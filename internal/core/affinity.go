@@ -17,10 +17,6 @@ package core
 // ignores it, so load balance (including the region imbalance of
 // Figure 10) is preserved and results stay bitwise identical.
 type affinityMap struct {
-	nw      int
-	numElem int
-	numNode int
-
 	partElem  int
 	partNodal int
 	elemHome  []int // element partition index → home worker
@@ -29,21 +25,15 @@ type affinityMap struct {
 
 // newAffinityMap builds the placement table for a mesh with numElem
 // elements and numNode nodes on nw workers at the given partition grains.
+// A partition's home is derived from its first index's position in the
+// mesh.
 func newAffinityMap(numElem, numNode, nw, partElem, partNodal int) *affinityMap {
-	m := &affinityMap{nw: nw, numElem: numElem, numNode: numNode}
-	m.rebuild(partElem, partNodal)
-	return m
-}
-
-// rebuild recomputes the partition tables for new grains (the adaptive
-// grain controller calls this between timesteps). The underlying block
-// distribution is grain-independent — a partition's home is derived from
-// its first index's position in the mesh — so regrained partitions stay
-// close to the workers that already hold their data.
-func (m *affinityMap) rebuild(partElem, partNodal int) {
-	m.partElem, m.partNodal = partElem, partNodal
-	m.elemHome = buildHomes(m.numElem, partElem, m.nw)
-	m.nodeHome = buildHomes(m.numNode, partNodal, m.nw)
+	return &affinityMap{
+		partElem:  partElem,
+		partNodal: partNodal,
+		elemHome:  buildHomes(numElem, partElem, nw),
+		nodeHome:  buildHomes(numNode, partNodal, nw),
+	}
 }
 
 func buildHomes(n, part, nw int) []int {

@@ -112,23 +112,30 @@ func TestTaskBackendPartitionInvariance(t *testing.T) {
 }
 
 // TestTaskBackendAblationInvariance: every combination of the paper's four
-// techniques computes the identical answer — the toggles trade performance,
-// not correctness.
+// techniques and steal-half — all 2^5 on/off configurations of the task
+// backend — computes the identical answer: the toggles trade performance,
+// not correctness. Subtest mask-bbbb prints the four paper bits as a
+// binary number (ParallelRegions first, Chain last) with steal-half on,
+// the default; the -no-steal-half suffix marks the other sixteen.
 func TestTaskBackendAblationInvariance(t *testing.T) {
 	cfg := domain.DefaultConfig(5)
 	const steps = 8
 	ref := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
 		return NewBackendSerial(d)
 	})
-	for mask := 0; mask < 16; mask++ {
-		mask := mask
-		t.Run(fmt.Sprintf("mask-%04b", mask), func(t *testing.T) {
+	for mask := 0; mask < 32; mask++ {
+		name := fmt.Sprintf("mask-%04b", mask&15)
+		if mask&16 != 0 {
+			name += "-no-steal-half"
+		}
+		t.Run(name, func(t *testing.T) {
 			got := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
 				opt := DefaultOptions(5, 2)
 				opt.Chain = mask&1 != 0
 				opt.Fuse = mask&2 != 0
 				opt.ParallelForces = mask&4 != 0
 				opt.ParallelRegions = mask&8 != 0
+				opt.StealHalf = mask&16 == 0
 				return NewBackendTask(d, opt)
 			})
 			compareDomains(t, "task-ablation", ref, got)
@@ -185,22 +192,6 @@ func TestBackendsEquivalentFullRun(t *testing.T) {
 			compareDomains(t, mk.name, ref, got)
 		})
 	}
-}
-
-// TestPrioritizeHeavyRegionsInvariance: the LPT priority heuristic is a
-// scheduling hint only — results stay bitwise identical to serial.
-func TestPrioritizeHeavyRegionsInvariance(t *testing.T) {
-	cfg := domain.DefaultConfig(5)
-	const steps = 10
-	ref := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
-		return NewBackendSerial(d)
-	})
-	got := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
-		opt := DefaultOptions(5, 2)
-		opt.PrioritizeHeavyRegions = true
-		return NewBackendTask(d, opt)
-	})
-	compareDomains(t, "task-priority", ref, got)
 }
 
 // TestOMPScheduleInvariance: dynamic and guided worksharing change which

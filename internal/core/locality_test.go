@@ -1,183 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
-	"lulesh/internal/amt"
 	"lulesh/internal/domain"
 )
 
-// Tests for the locality layer: the partition→worker affinity map, the
-// steal-half switch, and the adaptive grain controller. Like the rest of
-// the scheduling machinery these may change only *where* and *in how many
-// pieces* work runs — never the answer.
-
-// TestLocalityAblationInvariance: all eight combinations of Affinity ×
-// StealHalf × AdaptiveGrain compute results bitwise identical to the
-// serial reference (the invariant the luleshverify -locality CI sweep
-// checks on the real binary).
-func TestLocalityAblationInvariance(t *testing.T) {
-	cfg := domain.DefaultConfig(5)
-	const steps = 10
-	ref := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
-		return NewBackendSerial(d)
-	})
-	for mask := 0; mask < 8; mask++ {
-		mask := mask
-		t.Run(fmt.Sprintf("mask-%03b", mask), func(t *testing.T) {
-			got := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
-				opt := DefaultOptions(5, 3)
-				opt.Affinity = mask&1 != 0
-				opt.StealHalf = mask&2 != 0
-				opt.AdaptiveGrain = mask&4 != 0
-				return NewBackendTask(d, opt)
-			})
-			compareDomains(t, "task-locality", ref, got)
-		})
-	}
-}
-
-// TestAdaptiveGrainRegrainsAndStaysExact forces the controller through
-// actual grain changes — a tiny target idle rate narrows, a huge one
-// widens — and checks both that adjustments happen and that the answer
-// still matches serial after partitions were resized mid-run.
-func TestAdaptiveGrainRegrainsAndStaysExact(t *testing.T) {
-	cfg := domain.DefaultConfig(6)
-	const steps = 20
-	ref := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
-		return NewBackendSerial(d)
-	})
-	for _, tc := range []struct {
-		name   string
-		target float64
-	}{
-		// The targets are rigged so the decision is unconditional: any
-		// idle rate exceeds 1e-9 (always halve), and any idle rate is
-		// below 9.0/3 (always double) — the test must not depend on the
-		// actual utilization of the machine it runs on.
-		{"narrowing", 1e-9},
-		{"widening", 9.0},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			var b *BackendTask
-			got := runSteps(t, cfg, steps, func(d *domain.Domain) Backend {
-				opt := DefaultOptions(6, 2)
-				// Start between the floor and the n/nw ceiling so both
-				// directions have room to move.
-				opt.PartElem, opt.PartNodal = 128, 128
-				opt.AdaptiveGrain = true
-				opt.TargetIdle = tc.target
-				b = NewBackendTask(d, opt)
-				return b
-			})
-			compareDomains(t, "task-adaptive", ref, got)
-			if b.GrainAdjustments() == 0 {
-				t.Fatalf("target %v: controller never adjusted the grain", tc.target)
-			}
-			opt := b.Options()
-			if opt.PartElem < grainMinPart || opt.PartNodal < grainMinPart {
-				t.Fatalf("grain fell below the floor: %d/%d", opt.PartElem, opt.PartNodal)
-			}
-		})
-	}
-}
-
-// TestGrainControllerTick drives the controller with synthetic counters.
-func TestGrainControllerTick(t *testing.T) {
-	t0 := time.Unix(0, 0)
-	g := newGrainController(0.2, t0)
-
-	mk := func(busy time.Duration) amt.Counters {
-		return amt.Counters{Workers: 2, Busy: busy}
-	}
-	// Decisions only fire every grainAdjustEvery-th step.
-	for i := 1; i < grainAdjustEvery; i++ {
-		if got := g.tick(mk(time.Second), t0.Add(time.Duration(i)*time.Second)); got != 0 {
-			t.Fatalf("step %d: decision %d before the window closed", i, got)
-		}
-	}
-	// Window: 4s wall × 2 workers = 8s capacity; 2s busy → idle 0.75 > 0.2.
-	if got := g.tick(mk(2*time.Second), t0.Add(4*time.Second)); got != -1 {
-		t.Fatalf("starving window: decision %d, want -1 (narrow)", got)
-	}
-	// Next window: 4s wall, busy delta 7.9s of 8s → idle ~0.0125 < 0.2/3.
-	for i := 5; i < 8; i++ {
-		g.tick(mk(2*time.Second), t0.Add(time.Duration(i)*time.Second))
-	}
-	if got := g.tick(mk(9900*time.Millisecond), t0.Add(8*time.Second)); got != 1 {
-		t.Fatalf("saturated window: decision %d, want +1 (widen)", got)
-	}
-	// Dead band: idle between target/3 and target holds.
-	for i := 9; i < 12; i++ {
-		g.tick(mk(9900*time.Millisecond), t0.Add(time.Duration(i)*time.Second))
-	}
-	// Busy delta 7.2s of 8s → idle 0.1, inside (0.0667, 0.2).
-	if got := g.tick(mk(17100*time.Millisecond), t0.Add(12*time.Second)); got != 0 {
-		t.Fatalf("dead band: decision %d, want 0 (hold)", got)
-	}
-}
-
-// TestGrainControllerGuards: counter resets (negative busy delta),
-// zero-width walls and zero workers must skip the decision, not act on
-// garbage.
-func TestGrainControllerGuards(t *testing.T) {
-	t0 := time.Unix(0, 0)
-	g := newGrainController(0, t0)
-	if g.target != DefaultTargetIdle {
-		t.Fatalf("zero target not defaulted: %v", g.target)
-	}
-	step := func(c amt.Counters, at time.Time) int {
-		var last int
-		for i := 0; i < grainAdjustEvery; i++ {
-			last = g.tick(c, at)
-		}
-		return last
-	}
-	big := amt.Counters{Workers: 2, Busy: time.Hour}
-	step(big, t0.Add(time.Second))
-	// Busy went backwards (ResetCounters mid-run) → resync, no decision.
-	if got := step(amt.Counters{Workers: 2, Busy: time.Second}, t0.Add(2*time.Second)); got != 0 {
-		t.Fatalf("negative busy delta: decision %d, want 0", got)
-	}
-	// Zero workers → no decision.
-	if got := step(amt.Counters{Workers: 0, Busy: 2 * time.Second}, t0.Add(3*time.Second)); got != 0 {
-		t.Fatalf("zero workers: decision %d, want 0", got)
-	}
-	// Non-advancing wall clock → no decision.
-	if got := step(amt.Counters{Workers: 2, Busy: 3 * time.Second}, t0.Add(3*time.Second)); got != 0 {
-		t.Fatalf("zero wall: decision %d, want 0", got)
-	}
-}
-
-// TestScaleGrainBounds: halving and doubling respect the [grainMinPart,
-// grainMaxPart] tuning bounds and the one-partition-per-worker ceiling.
-func TestScaleGrainBounds(t *testing.T) {
-	cases := []struct {
-		part, scale, n, nw, want int
-	}{
-		{1024, 0, 1 << 20, 4, 1024}, // hold
-		{1024, -1, 1 << 20, 4, 512}, // halve
-		{1024, 1, 1 << 20, 4, 2048}, // double
-		{128, -1, 1 << 20, 4, 64},   // halve to the floor
-		{64, -1, 1 << 20, 4, 64},    // floor holds
-		{8192, 1, 1 << 20, 4, 8192}, // ceiling holds
-		{4096, 1, 1 << 20, 4, 8192}, // double to the ceiling
-		{1024, 1, 4096, 4, 1024},    // n/nw ceiling: 4096/4
-		{2048, 1, 4096, 4, 1024},    // clamp down to n/nw
-		{64, 1, 100, 4, 64},         // n/nw below the floor: floor wins
-		{512, 1, 1 << 20, 0, 1024},  // degenerate worker count
-	}
-	for _, c := range cases {
-		if got := scaleGrain(c.part, c.scale, c.n, c.nw); got != c.want {
-			t.Fatalf("scaleGrain(%d, %+d, n=%d, nw=%d) = %d, want %d",
-				c.part, c.scale, c.n, c.nw, got, c.want)
-		}
-	}
-}
+// Tests for the locality layer: the partition→worker affinity map. Like
+// the rest of the scheduling machinery it may change only *where* work
+// runs — never the answer.
 
 // TestAffinityMapBlockDistribution: homes are a non-decreasing block
 // distribution over both index spaces, every home is a valid worker, and
@@ -213,15 +45,9 @@ func TestAffinityMapBlockDistribution(t *testing.T) {
 	if got := m.regionWorker(regList, 0); got != m.elemWorker(999) {
 		t.Fatalf("regionWorker = %d, want %d", got, m.elemWorker(999))
 	}
-	// rebuild with a new grain keeps the distribution (same block ends).
-	m.rebuild(32, 256)
-	if m.elemWorker(0) != 0 || m.elemWorker(ne-1) != nw-1 {
-		t.Fatal("rebuild broke the block distribution")
-	}
 }
 
-// TestAffinityHitRateHighWhenBalanced: on a balanced run with affinity on,
-// most hinted tasks should actually execute on their preferred worker —
+// TestAffinityHitRateHighWhenBalanced: on a balanced run most hinted tasks should actually execute on their preferred worker —
 // the whole point of the layer. The bound is deliberately loose (steals
 // legitimately move work) but catches a placement layer that stopped
 // honoring hints entirely (rate ≈ 1/nw). The rate assertion needs real
@@ -240,7 +66,7 @@ func TestAffinityHitRateHighWhenBalanced(t *testing.T) {
 	c := b.Counters()
 	rate, ok := c.AffinityHitRate()
 	if !ok {
-		t.Fatal("no hinted tasks ran with Affinity on")
+		t.Fatal("no hinted tasks ran")
 	}
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Logf("hit rate %.2f on a single CPU (placement unobservable); skipping the bound", rate)
@@ -248,22 +74,5 @@ func TestAffinityHitRateHighWhenBalanced(t *testing.T) {
 	}
 	if rate < 0.55 {
 		t.Fatalf("affinity hit rate %.2f: hints are not being honored", rate)
-	}
-}
-
-// TestAffinityOffNoHintedTasks: with Affinity off the backend must not
-// tag any frame.
-func TestAffinityOffNoHintedTasks(t *testing.T) {
-	cfg := domain.DefaultConfig(5)
-	d := domain.NewSedov(cfg)
-	opt := DefaultOptions(5, 2)
-	opt.Affinity = false
-	b := NewBackendTask(d, opt)
-	defer b.Close()
-	if _, err := Run(d, b, RunConfig{MaxIterations: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.Counters().AffinityHitRate(); ok {
-		t.Fatal("hinted tasks ran with Affinity off")
 	}
 }

@@ -4,10 +4,17 @@ import "lulesh/internal/amt"
 
 // Options configures the task backend (and, where applicable, the other
 // parallel backends). The partition sizes correspond to the paper's
-// Table I; the boolean toggles correspond to the successive code
+// Table I; the four technique toggles correspond to the successive code
 // transformations of the paper's Figures 5-8 and are all enabled in the
 // paper's final implementation. Disabling one isolates its contribution
 // (the ablation experiments).
+//
+// Every partition's tasks always carry a locality hint: a persistent
+// partition→worker map gives each element, nodal and region-chain
+// partition a home worker (block distribution over the mesh), so the same
+// worker re-touches the same mesh slice across the ~45 kernel launches per
+// iteration. Hints bias placement only; work stealing still rebalances,
+// and results remain bitwise identical.
 type Options struct {
 	// Threads is the number of execution threads (HPX worker OS-threads,
 	// OpenMP team size). 0 means one per available core.
@@ -34,45 +41,12 @@ type Options struct {
 	// ApplyMaterialPropertiesForElems parallelization of Section IV).
 	ParallelRegions bool
 
-	// BatchSpawn submits the independent root tasks of each iteration's
-	// task graph with one batched spawn (amt.SpawnBatch: one bookkeeping
-	// update and one wake sweep) instead of one spawn/wake round-trip per
-	// task. A dispatch-overhead optimization only — the task graph and the
-	// per-datum arithmetic are unchanged. On in the default configuration;
-	// separable for ablation.
-	BatchSpawn bool
-
-	// Affinity turns on locality-aware task placement: a persistent
-	// partition→worker map assigns every element, nodal and region-chain
-	// partition a home worker (block distribution over the mesh), and all
-	// of the partition's tasks — every stage, every timestep — are spawned
-	// with that affinity hint, so the same worker re-touches the same mesh
-	// slice across the ~45 kernel launches per iteration. Hints bias
-	// placement only; work stealing still rebalances, and results remain
-	// bitwise identical. On in the default configuration; separable for
-	// ablation.
-	Affinity bool
-
 	// StealHalf makes idle workers migrate up to half of a victim's queue
 	// per steal sweep instead of one frame, cutting steal attempts on the
 	// fine-grained hot path (amt.WithStealHalf). Scheduling-only: results
 	// are unchanged. On in the default configuration; separable for
 	// ablation.
 	StealHalf bool
-
-	// AdaptiveGrain replaces the static Table I partition sizes with a
-	// feedback controller: each few timesteps the per-worker busy/idle
-	// counters are read and the partition grain is narrowed (more, smaller
-	// tasks) when the idle rate exceeds TargetIdle or widened (fewer,
-	// larger tasks) when the pool is comfortably busy. Partition sizes
-	// stay within the Table I tuning bounds and results remain bitwise
-	// identical at every grain. Off by default — it overrides the paper's
-	// static Table I tuning and is an extension experiment here.
-	AdaptiveGrain bool
-
-	// TargetIdle is the idle-rate setpoint of the AdaptiveGrain
-	// controller. 0 means DefaultTargetIdle.
-	TargetIdle float64
 
 	// Scheduler, when non-nil, makes the task backend run on this
 	// externally owned front-end instead of creating a private worker
@@ -83,15 +57,6 @@ type Options struct {
 	// Close only quiesces the job instead of shutting workers down. The
 	// caller retains ownership of the pool.
 	Scheduler *amt.Scheduler
-
-	// PrioritizeHeavyRegions schedules the expensive material chains
-	// (EOS repetition factor >= 10, the "very expensive regions" of the
-	// load-imbalance model) at high priority — a longest-processing-
-	// time-first heuristic enabled by the runtime's priority scheduling,
-	// which the paper's HPX configuration leaves unused ("we do not
-	// utilize different task priorities"). Off in the paper
-	// configuration; an extension experiment here.
-	PrioritizeHeavyRegions bool
 }
 
 // DefaultOptions returns the paper's final configuration for a problem of
@@ -105,8 +70,6 @@ func DefaultOptions(edgeElems, threads int) Options {
 		Fuse:            true,
 		ParallelForces:  true,
 		ParallelRegions: true,
-		BatchSpawn:      true,
-		Affinity:        true,
 		StealHalf:       true,
 	}
 	o.PartNodal, o.PartElem = TableIPartitions(edgeElems, threads)

@@ -39,6 +39,15 @@ func registerPhases(p *perf.Profiler) {
 	}
 }
 
+// SetProfiler attaches the profiler to the serial backend: each kernel
+// family of a step becomes one record on worker 0.
+func (b *BackendSerial) SetProfiler(p *perf.Profiler) {
+	if p != nil {
+		registerPhases(p)
+	}
+	b.prof = p
+}
+
 // SetProfiler attaches the profiler to the AMT scheduler's task sink.
 func (b *BackendTask) SetProfiler(p *perf.Profiler) {
 	if p == nil {

@@ -41,6 +41,7 @@ func TestProfilerPhaseAttribution(t *testing.T) {
 		{"task", func(d *domain.Domain) Backend { return NewBackendTask(d, DefaultOptions(6, 2)) }},
 		{"omp", func(d *domain.Domain) Backend { return NewBackendOMP(d, 2) }},
 		{"naive", func(d *domain.Domain) Backend { return NewBackendNaive(d, 2) }},
+		{"serial", func(d *domain.Domain) Backend { return NewBackendSerial(d) }},
 	}
 	for _, bk := range backends {
 		bk := bk
@@ -82,6 +83,7 @@ func TestProfilerDoesNotPerturbResults(t *testing.T) {
 		{"task", func(d *domain.Domain) Backend { return NewBackendTask(d, DefaultOptions(6, 3)) }},
 		{"omp", func(d *domain.Domain) Backend { return NewBackendOMP(d, 3) }},
 		{"naive", func(d *domain.Domain) Backend { return NewBackendNaive(d, 3) }},
+		{"serial", func(d *domain.Domain) Backend { return NewBackendSerial(d) }},
 	} {
 		bk := bk
 		t.Run(bk.name, func(t *testing.T) {

@@ -9,58 +9,25 @@ import (
 	"lulesh/internal/trace"
 )
 
+// TestSerialProfilingPhases: the serial backend speaks the same phase
+// vocabulary as the parallel ones — exactly one profiler record per kernel
+// family per step, under the omp backend's phase names.
 func TestSerialProfilingPhases(t *testing.T) {
-	d := domain.NewSedov(domain.DefaultConfig(6))
-	b := NewBackendSerial(d)
-	defer b.Close()
-	b.EnableProfiling()
-	if _, err := Run(d, b, RunConfig{MaxIterations: 5}); err != nil {
-		t.Fatal(err)
+	const steps = 5
+	_, snap := runProfiled(t, domain.DefaultConfig(6), steps,
+		func(d *domain.Domain) Backend { return NewBackendSerial(d) })
+	want := []string{"force", "nodal", "elements", "eos-regions", "volumes", "constraints"}
+	if snap.Tasks != int64(steps*len(want)) {
+		t.Fatalf("%d records over %d steps, want %d", snap.Tasks, steps, steps*len(want))
 	}
-	prof := b.Profile()
-	want := []string{"stress-force", "hourglass-force", "nodal-update",
-		"kinematics", "monotonic-q", "eos", "constraints"}
-	if len(prof) != len(want) {
-		t.Fatalf("%d phases, want %d: %+v", len(prof), len(want), prof)
+	got := map[string]int64{}
+	for _, ph := range snap.Phases {
+		got[ph.Name] = ph.Count
 	}
-	for i, name := range want {
-		if prof[i].Name != name {
-			t.Fatalf("phase[%d] = %q, want %q", i, prof[i].Name, name)
+	for _, name := range want {
+		if got[name] != steps {
+			t.Errorf("phase %q recorded %d times, want one per step (%d)", name, got[name], steps)
 		}
-		if prof[i].Total <= 0 {
-			t.Fatalf("phase %q has zero time", name)
-		}
-	}
-}
-
-func TestProfileNilWithoutEnable(t *testing.T) {
-	d := domain.NewSedov(domain.DefaultConfig(4))
-	b := NewBackendSerial(d)
-	defer b.Close()
-	if _, err := Run(d, b, RunConfig{MaxIterations: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if b.Profile() != nil {
-		t.Fatal("Profile should be nil unless enabled")
-	}
-}
-
-func TestProfilingDoesNotChangeResults(t *testing.T) {
-	run := func(profile bool) float64 {
-		d := domain.NewSedov(domain.DefaultConfig(5))
-		b := NewBackendSerial(d)
-		defer b.Close()
-		if profile {
-			b.EnableProfiling()
-		}
-		res, err := Run(d, b, RunConfig{MaxIterations: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.OriginEnergy
-	}
-	if run(false) != run(true) {
-		t.Fatal("profiling altered results")
 	}
 }
 

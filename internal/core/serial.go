@@ -1,8 +1,11 @@
 package core
 
 import (
+	"time"
+
 	"lulesh/internal/domain"
 	"lulesh/internal/kernels"
+	"lulesh/internal/perf"
 )
 
 // buffers holds the mesh-sized temporaries shared by the serial and
@@ -70,7 +73,7 @@ func newBuffers(d *domain.Domain) *buffers {
 // and as the single-thread baseline of Figure 9).
 type BackendSerial struct {
 	buf  *buffers
-	prof *profiler
+	prof *perf.Profiler // nil unless SetProfiler attached one
 }
 
 // NewBackendSerial creates a serial backend for domains shaped like d.
@@ -92,6 +95,19 @@ func (b *BackendSerial) ResetCounters() {}
 // Close is a no-op.
 func (b *BackendSerial) Close() {}
 
+// phase runs one kernel family and, with a profiler attached, records it
+// as one task of the given phase on worker 0 — one record per kernel
+// family per step, grouped as the omp backend groups its regions.
+func (b *BackendSerial) phase(id uint32, fn func()) {
+	if b.prof == nil {
+		fn()
+		return
+	}
+	t0 := time.Now()
+	fn()
+	b.prof.RecordTask(0, id, t0, time.Since(t0), 0, false)
+}
+
 // Step advances one leapfrog iteration sequentially, in the exact kernel
 // order of the reference implementation.
 func (b *BackendSerial) Step(d *domain.Domain) error {
@@ -103,19 +119,16 @@ func (b *BackendSerial) Step(d *domain.Domain) error {
 	p := &d.Par
 
 	// --- LagrangeNodal -------------------------------------------------
-	b.section("stress-force", func() {
+	b.phase(PhaseForce, func() {
 		kernels.ZeroForces(d, 0, nn)
 		kernels.InitStressTerms(d, buf.sigxx, buf.sigyy, buf.sigzz, 0, ne)
 		kernels.IntegrateStress(d, buf.sigxx, buf.sigyy, buf.sigzz, buf.determS,
 			buf.fxS, buf.fyS, buf.fzS, 0, ne)
 		kernels.GatherCornerForces(d, buf.fxS, buf.fyS, buf.fzS, 0, nn, false)
 		kernels.CheckDeterm(buf.determS, 0, ne, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	b.section("hourglass-force", func() {
+		if buf.flag.Err() != nil {
+			return
+		}
 		kernels.HourglassPrep(d, buf.dvdx, buf.dvdy, buf.dvdz,
 			buf.x8n, buf.y8n, buf.z8n, buf.determH, 0, 0, ne, &buf.flag)
 		if buf.flag.Err() != nil {
@@ -132,7 +145,7 @@ func (b *BackendSerial) Step(d *domain.Domain) error {
 		return err
 	}
 
-	b.section("nodal-update", func() {
+	b.phase(PhaseNodal, func() {
 		kernels.CalcAcceleration(d, 0, nn)
 		kernels.ApplyAccelBCList(d, d.Mesh.SymmX, 0, 0, len(d.Mesh.SymmX))
 		kernels.ApplyAccelBCList(d, d.Mesh.SymmY, 1, 0, len(d.Mesh.SymmY))
@@ -142,26 +155,20 @@ func (b *BackendSerial) Step(d *domain.Domain) error {
 	})
 
 	// --- LagrangeElements ----------------------------------------------
-	b.section("kinematics", func() {
+	b.phase(PhaseElements, func() {
 		kernels.CalcKinematics(d, delt, 0, ne)
 		kernels.CalcStrainRate(d, 0, ne, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	b.section("monotonic-q", func() {
+		if buf.flag.Err() != nil {
+			return
+		}
 		kernels.MonoQGradients(d, 0, ne)
 		for _, regList := range d.Regions.ElemList {
 			kernels.MonoQRegion(d, regList, 0, len(regList))
 		}
 		kernels.QStopCheck(d, 0, ne, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	b.section("eos", func() {
+		if buf.flag.Err() != nil {
+			return
+		}
 		kernels.CopyVnewc(d, buf.vnewc, 0, ne)
 		if p.EOSvMin != 0 {
 			kernels.ClampVnewcLow(buf.vnewc, p.EOSvMin, 0, ne)
@@ -170,21 +177,21 @@ func (b *BackendSerial) Step(d *domain.Domain) error {
 			kernels.ClampVnewcHigh(buf.vnewc, p.EOSvMax, 0, ne)
 		}
 		kernels.CheckVBounds(d, 0, ne, &buf.flag)
-		if buf.flag.Err() != nil {
-			return
-		}
-		for r, regList := range d.Regions.ElemList {
-			rep := d.Regions.Rep(r)
-			kernels.EvalEOS(d, buf.vnewc, regList, buf.scratch, rep, 0, len(regList))
-		}
-		kernels.UpdateVolumes(d, p.VCut, 0, ne)
 	})
 	if err := buf.flag.Err(); err != nil {
 		return err
 	}
 
+	b.phase(PhaseRegions, func() {
+		for r, regList := range d.Regions.ElemList {
+			rep := d.Regions.Rep(r)
+			kernels.EvalEOS(d, buf.vnewc, regList, buf.scratch, rep, 0, len(regList))
+		}
+	})
+	b.phase(PhaseVolumes, func() { kernels.UpdateVolumes(d, p.VCut, 0, ne) })
+
 	// --- CalcTimeConstraintsForElems ------------------------------------
-	b.section("constraints", func() {
+	b.phase(PhaseConstraints, func() {
 		d.Dtcourant = kernels.HugeDt
 		d.Dthydro = kernels.HugeDt
 		for _, regList := range d.Regions.ElemList {

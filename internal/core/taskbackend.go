@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"lulesh/internal/amt"
 	"lulesh/internal/domain"
@@ -31,12 +30,9 @@ type BackendTask struct {
 	s   *amt.Scheduler
 	opt Options
 
-	// aff is the locality layer's persistent partition→worker map
-	// (Options.Affinity); nil when affinity is off.
+	// aff is the locality layer's persistent partition→worker map: every
+	// partition task is spawned with its home worker as affinity hint.
 	aff *affinityMap
-	// grain is the idle-rate feedback controller (Options.AdaptiveGrain);
-	// nil when the static Table I grain is used.
-	grain *grainController
 
 	// Mesh-sized persistent temporaries, carved from one arena.
 	arena               *kernels.Arena
@@ -59,32 +55,20 @@ type BackendTask struct {
 // carved from a single arena allocation so the six planes one task walks
 // in lockstep are contiguous.
 type hgScratch struct {
-	arena kernels.Arena
-
 	dvdx, dvdy, dvdz []float64
 	x8n, y8n, z8n    []float64
 }
 
 func newHGScratch(n int) *hgScratch {
-	sc := &hgScratch{}
-	sc.ensure(n)
-	return sc
-}
-
-// ensure grows the scratch to hold at least n elements. Needed because
-// the adaptive grain controller can widen partitions after scratch of the
-// original size has been pooled.
-func (sc *hgScratch) ensure(n int) {
-	if len(sc.dvdx) >= 8*n {
-		return
+	a := kernels.NewArena(6 * 8 * n)
+	return &hgScratch{
+		dvdx: a.Take(8 * n),
+		dvdy: a.Take(8 * n),
+		dvdz: a.Take(8 * n),
+		x8n:  a.Take(8 * n),
+		y8n:  a.Take(8 * n),
+		z8n:  a.Take(8 * n),
 	}
-	sc.arena.Grow(6 * 8 * n)
-	sc.dvdx = sc.arena.Take(8 * n)
-	sc.dvdy = sc.arena.Take(8 * n)
-	sc.dvdz = sc.arena.Take(8 * n)
-	sc.x8n = sc.arena.Take(8 * n)
-	sc.y8n = sc.arena.Take(8 * n)
-	sc.z8n = sc.arena.Take(8 * n)
 }
 
 // NewBackendTask creates the many-task backend for domains shaped like d.
@@ -117,6 +101,7 @@ func NewBackendTask(d *domain.Domain, opt Options) *BackendTask {
 	b := &BackendTask{
 		s:       sched,
 		opt:     opt,
+		aff:     newAffinityMap(ne, d.NumNode(), sched.Workers(), opt.PartElem, opt.PartNodal),
 		arena:   a,
 		sigxx:   a.Take(ne),
 		sigyy:   a.Take(ne),
@@ -135,67 +120,13 @@ func NewBackendTask(d *domain.Domain, opt Options) *BackendTask {
 	b.hgPool.New = func() any { return newHGScratch(partE) }
 	b.eosPool.New = func() any { return kernels.NewEOSScratch(partE) }
 
-	if opt.Affinity {
-		b.aff = newAffinityMap(ne, d.NumNode(), b.s.Workers(),
-			opt.PartElem, opt.PartNodal)
-	}
-	if opt.AdaptiveGrain {
-		b.grain = newGrainController(opt.TargetIdle, time.Now())
-	}
-	b.sizeRegionParts(d)
-	return b
-}
-
-// sizeRegionParts (re)allocates the per-region-partition constraint-minima
-// arrays for the current element grain.
-func (b *BackendTask) sizeRegionParts(d *domain.Domain) {
 	nParts := 0
 	for _, regList := range d.Regions.ElemList {
-		nParts += numPartitions(len(regList), b.opt.PartElem)
-	}
-	if cap(b.dtcPart) >= nParts {
-		b.dtcPart = b.dtcPart[:nParts]
-		b.dthPart = b.dthPart[:nParts]
-		return
+		nParts += numPartitions(len(regList), partE)
 	}
 	b.dtcPart = make([]float64, nParts)
 	b.dthPart = make([]float64, nParts)
-}
-
-// homeElem, homeNode and homeRegion consult the locality map; they return
-// -1 (no hint, default placement) when affinity is off.
-func (b *BackendTask) homeElem(lo int) int {
-	if b.aff == nil {
-		return -1
-	}
-	return b.aff.elemWorker(lo)
-}
-
-func (b *BackendTask) homeNode(lo int) int {
-	if b.aff == nil {
-		return -1
-	}
-	return b.aff.nodeWorker(lo)
-}
-
-func (b *BackendTask) homeRegion(regList []int32, lo int) int {
-	if b.aff == nil || lo >= len(regList) {
-		return -1
-	}
-	return b.aff.regionWorker(regList, lo)
-}
-
-// getHG / getEOS fetch pooled scratch guaranteed to hold n elements.
-func (b *BackendTask) getHG(n int) *hgScratch {
-	sc := b.hgPool.Get().(*hgScratch)
-	sc.ensure(n)
-	return sc
-}
-
-func (b *BackendTask) getEOS(n int) *kernels.EOSScratch {
-	sc := b.eosPool.Get().(*kernels.EOSScratch)
-	sc.Ensure(n)
-	return sc
+	return b
 }
 
 func (b *BackendTask) Name() string { return "task" }
@@ -285,86 +216,22 @@ func (b *BackendTask) Step(d *domain.Domain) error {
 	})
 	done.Get()
 	b.s.SetPhase(PhaseOther)
-	if err := b.flag.Err(); err != nil {
-		return err
-	}
-
-	// The grain controller runs between timesteps, when no tasks are in
-	// flight, so regraining never races with launch sites.
-	if b.grain != nil {
-		b.applyGrain(d, b.grain.tick(b.s.CountersSnapshot(), time.Now()))
-	}
-	return nil
-}
-
-// applyGrain applies a controller decision: rescale both partition sizes,
-// resize the per-partition constraint arrays and rebuild the affinity map.
-func (b *BackendTask) applyGrain(d *domain.Domain, scale int) {
-	if scale == 0 {
-		return
-	}
-	nw := b.s.Workers()
-	newElem := scaleGrain(b.opt.PartElem, scale, d.NumElem(), nw)
-	newNodal := scaleGrain(b.opt.PartNodal, scale, d.NumNode(), nw)
-	if newElem == b.opt.PartElem && newNodal == b.opt.PartNodal {
-		return
-	}
-	b.opt.PartElem, b.opt.PartNodal = newElem, newNodal
-	b.grain.adjustments++
-	b.sizeRegionParts(d)
-	if b.aff != nil {
-		b.aff.rebuild(newElem, newNodal)
-	}
-}
-
-// GrainAdjustments reports how many times the adaptive controller changed
-// the partition grain (0 without AdaptiveGrain).
-func (b *BackendTask) GrainAdjustments() int {
-	if b.grain == nil {
-		return 0
-	}
-	return b.grain.adjustments
+	return b.flag.Err()
 }
 
 // Counters exposes the scheduler's activity counters (steals, migrated
 // frames, affinity hits) for the benchmark harness and trace export.
 func (b *BackendTask) Counters() amt.Counters { return b.s.CountersSnapshot() }
 
-// attachStage attaches one continuation per partition to a stage barrier.
-// With BatchSpawn the whole family goes out as a single batched,
-// home-interleaved spawn when the barrier trips (one bookkeeping update
-// and one wake sweep, and no window in which only one worker's hinted
-// frames are visible to thieves); otherwise one ThenRunAt per chain.
-func (b *BackendTask) attachStage(barrier *amt.Void, fns []func(amt.Unit), homes []int) []*amt.Void {
-	if b.aff == nil {
-		homes = nil
-	}
-	if b.opt.BatchSpawn {
-		return amt.ThenRunBatchAt(barrier, fns, homes)
-	}
-	out := make([]*amt.Void, len(fns))
-	for i, fn := range fns {
-		home := -1
-		if homes != nil {
-			home = homes[i]
-		}
-		out[i] = amt.ThenRunAt(barrier, home, fn)
-	}
-	return out
-}
-
 // launchForces creates the stress and hourglass force tasks for every
 // element partition. With ParallelForces the two families are independent
 // tasks; otherwise each partition's hourglass chain is attached behind its
 // stress chain.
 func (b *BackendTask) launchForces(d *domain.Domain) []*amt.Void {
-	if b.opt.Fuse && b.opt.BatchSpawn {
-		return b.launchForcesBatched(d)
-	}
 	p := &d.Par
 	var out []*amt.Void
 	partition(d.NumElem(), b.opt.PartElem, func(lo, hi int) {
-		home := b.homeElem(lo)
+		home := b.aff.elemWorker(lo)
 		stressInit := func() {
 			kernels.InitStressTerms(d, b.sigxx, b.sigyy, b.sigzz, lo, hi)
 		}
@@ -385,7 +252,7 @@ func (b *BackendTask) launchForces(d *domain.Domain) []*amt.Void {
 		hg := func() *amt.Void {
 			if b.opt.Fuse {
 				run := func() {
-					sc := b.getHG(hi - lo)
+					sc := b.hgPool.Get().(*hgScratch)
 					kernels.HourglassPrep(d, sc.dvdx, sc.dvdy, sc.dvdz,
 						sc.x8n, sc.y8n, sc.z8n, b.determH, lo, lo, hi, &b.flag)
 					if p.HGCoef > 0 {
@@ -401,7 +268,7 @@ func (b *BackendTask) launchForces(d *domain.Domain) []*amt.Void {
 				return amt.ThenRunAt(stress, home, func(amt.Unit) { run() })
 			}
 			// Unfused: prep and force as chained tasks sharing scratch.
-			sc := b.getHG(hi - lo)
+			sc := b.hgPool.Get().(*hgScratch)
 			prep := func() {
 				kernels.HourglassPrep(d, sc.dvdx, sc.dvdy, sc.dvdz,
 					sc.x8n, sc.y8n, sc.z8n, b.determH, lo, lo, hi, &b.flag)
@@ -427,62 +294,6 @@ func (b *BackendTask) launchForces(d *domain.Domain) []*amt.Void {
 	return out
 }
 
-// launchForcesBatched is the BatchSpawn variant of launchForces for the
-// fused configuration: the independent root tasks of the force stage — the
-// entire stage when ParallelForces, the stress family otherwise — are
-// submitted with one amt.RunBatch (a single bookkeeping update and wake
-// sweep) instead of one spawn/wake round-trip per partition chain. The
-// task graph and per-datum arithmetic are identical to launchForces.
-func (b *BackendTask) launchForcesBatched(d *domain.Domain) []*amt.Void {
-	p := &d.Par
-	var roots []func()
-	var homes []int
-	type chainedHG struct {
-		stress int // index in roots of the stress task this chain follows
-		home   int
-		run    func()
-	}
-	var chained []chainedHG
-	partition(d.NumElem(), b.opt.PartElem, func(lo, hi int) {
-		home := b.homeElem(lo)
-		stress := func() {
-			kernels.InitStressTerms(d, b.sigxx, b.sigyy, b.sigzz, lo, hi)
-			kernels.IntegrateStress(d, b.sigxx, b.sigyy, b.sigzz, b.determS,
-				b.fxS, b.fyS, b.fzS, lo, hi)
-			kernels.CheckDeterm(b.determS, lo, hi, &b.flag)
-		}
-		si := len(roots)
-		roots = append(roots, stress)
-		homes = append(homes, home)
-		hg := func() {
-			sc := b.getHG(hi - lo)
-			kernels.HourglassPrep(d, sc.dvdx, sc.dvdy, sc.dvdz,
-				sc.x8n, sc.y8n, sc.z8n, b.determH, lo, lo, hi, &b.flag)
-			if p.HGCoef > 0 {
-				kernels.FBHourglass(d, sc.dvdx, sc.dvdy, sc.dvdz,
-					sc.x8n, sc.y8n, sc.z8n, b.determH, p.HGCoef, lo, lo, hi,
-					b.fxH, b.fyH, b.fzH)
-			}
-			b.hgPool.Put(sc)
-		}
-		if b.opt.ParallelForces {
-			roots = append(roots, hg)
-			homes = append(homes, home)
-		} else {
-			chained = append(chained, chainedHG{si, home, hg})
-		}
-	})
-	if b.aff == nil {
-		homes = nil
-	}
-	out := amt.RunBatchAt(b.s, roots, homes)
-	for _, c := range chained {
-		run := c.run
-		out = append(out, amt.ThenRunAt(out[c.stress], c.home, func(amt.Unit) { run() }))
-	}
-	return out
-}
-
 // launchNodal creates one fused chain per node partition: force gather,
 // acceleration, boundary conditions, velocity, position.
 func (b *BackendTask) launchNodal(d *domain.Domain, forces []*amt.Void) []*amt.Void {
@@ -490,10 +301,8 @@ func (b *BackendTask) launchNodal(d *domain.Domain, forces []*amt.Void) []*amt.V
 	delt := d.Deltatime
 	barrier := amt.AfterAll(b.s, forces)
 	var out []*amt.Void
-	var fns []func(amt.Unit)
-	var homes []int
 	partition(d.NumNode(), b.opt.PartNodal, func(lo, hi int) {
-		home := b.homeNode(lo)
+		home := b.aff.nodeWorker(lo)
 		gather := func() {
 			if p.HGCoef > 0 {
 				kernels.GatherTwoCornerForces(d, b.fxS, b.fyS, b.fzS,
@@ -510,13 +319,12 @@ func (b *BackendTask) launchNodal(d *domain.Domain, forces []*amt.Void) []*amt.V
 		pos := func() { kernels.CalcPosition(d, delt, lo, hi) }
 
 		if b.opt.Fuse {
-			fns = append(fns, func(amt.Unit) {
+			out = append(out, amt.ThenRunAt(barrier, home, func(amt.Unit) {
 				gather()
 				accel()
 				vel()
 				pos()
-			})
-			homes = append(homes, home)
+			}))
 			return
 		}
 		t := amt.ThenRunAt(barrier, home, func(amt.Unit) { gather() })
@@ -525,9 +333,6 @@ func (b *BackendTask) launchNodal(d *domain.Domain, forces []*amt.Void) []*amt.V
 		t = amt.ThenRunAt(t, home, func(amt.Unit) { pos() })
 		out = append(out, t)
 	})
-	if b.opt.Fuse {
-		return b.attachStage(barrier, fns, homes)
-	}
 	return out
 }
 
@@ -539,10 +344,8 @@ func (b *BackendTask) launchElements(d *domain.Domain, nodal []*amt.Void) []*amt
 	delt := d.Deltatime
 	barrier := amt.AfterAll(b.s, nodal)
 	var out []*amt.Void
-	var fns []func(amt.Unit)
-	var homes []int
 	partition(d.NumElem(), b.opt.PartElem, func(lo, hi int) {
-		home := b.homeElem(lo)
+		home := b.aff.elemWorker(lo)
 		kin := func() {
 			kernels.CalcKinematics(d, delt, lo, hi)
 			kernels.CalcStrainRate(d, lo, hi, &b.flag)
@@ -560,12 +363,11 @@ func (b *BackendTask) launchElements(d *domain.Domain, nodal []*amt.Void) []*amt
 			kernels.CheckVBounds(d, lo, hi, &b.flag)
 		}
 		if b.opt.Fuse {
-			fns = append(fns, func(amt.Unit) {
+			out = append(out, amt.ThenRunAt(barrier, home, func(amt.Unit) {
 				kin()
 				grad()
 				prep()
-			})
-			homes = append(homes, home)
+			}))
 			return
 		}
 		t := amt.ThenRunAt(barrier, home, func(amt.Unit) { kin() })
@@ -573,9 +375,6 @@ func (b *BackendTask) launchElements(d *domain.Domain, nodal []*amt.Void) []*amt
 		t = amt.ThenRunAt(t, home, func(amt.Unit) { prep() })
 		out = append(out, t)
 	})
-	if b.opt.Fuse {
-		return b.attachStage(barrier, fns, homes)
-	}
 	return out
 }
 
@@ -584,28 +383,20 @@ func (b *BackendTask) launchElements(d *domain.Domain, nodal []*amt.Void) []*amt
 // With ParallelRegions all chains start at the stage-3 barrier; otherwise
 // region r+1 waits for region r, as the sequential reference does.
 func (b *BackendTask) launchRegions(d *domain.Domain, elems []*amt.Void) []*amt.Void {
-	barrier := amt.AfterAll(b.s, elems)
+	parent := amt.AfterAll(b.s, elems)
 	var out []*amt.Void
-	parent := barrier
 	pidx := 0
-	// Fused chains of concurrently-running regions all become ready at the
-	// same barrier, so they can leave as one batched, home-interleaved
-	// spawn; the prioritized heavy chains and the serialized mode keep
-	// their individual attachment.
-	batchable := b.opt.Fuse && b.opt.ParallelRegions && b.opt.BatchSpawn
-	var batchFns []func(amt.Unit)
-	var batchHomes []int
 	for r, regList := range d.Regions.ElemList {
-		regList := regList
 		rep := d.Regions.Rep(r)
 		var regionTasks []*amt.Void
 		partition(len(regList), b.opt.PartElem, func(lo, hi int) {
 			idx := pidx
 			pidx++
-			home := b.homeRegion(regList, lo)
+			// The chain inherits the affinity of its element range.
+			home := b.aff.regionWorker(regList, lo)
 			monoq := func() { kernels.MonoQRegion(d, regList, lo, hi) }
 			eos := func() {
-				sc := b.getEOS(hi - lo)
+				sc := b.eosPool.Get().(*kernels.EOSScratch)
 				kernels.EvalEOS(d, b.vnewc, regList, sc, rep, lo, hi)
 				b.eosPool.Put(sc)
 			}
@@ -613,38 +404,17 @@ func (b *BackendTask) launchRegions(d *domain.Domain, elems []*amt.Void) []*amt.
 				b.dtcPart[idx] = kernels.CourantConstraint(d, regList, lo, hi)
 				b.dthPart[idx] = kernels.HydroConstraint(d, regList, lo, hi)
 			}
-			// Optional LPT heuristic: launch the expensive chains at
-			// high priority so they start as early as possible (the
-			// high-priority queue is shared, so priority overrides the
-			// affinity hint). Otherwise the chain inherits the affinity
-			// of its element range.
-			heavy := b.opt.PrioritizeHeavyRegions && rep >= 10
-			if batchable && !heavy {
-				batchFns = append(batchFns, func(amt.Unit) {
-					monoq()
-					eos()
-					constraints()
-				})
-				batchHomes = append(batchHomes, home)
-				return
-			}
-			attach := func(p *amt.Void, fn func(amt.Unit)) *amt.Void {
-				return amt.ThenRunAt(p, home, fn)
-			}
-			if heavy {
-				attach = amt.ThenRunHigh[amt.Unit]
-			}
 			var t *amt.Void
 			if b.opt.Fuse {
-				t = attach(parent, func(amt.Unit) {
+				t = amt.ThenRunAt(parent, home, func(amt.Unit) {
 					monoq()
 					eos()
 					constraints()
 				})
 			} else {
-				t = attach(parent, func(amt.Unit) { monoq() })
-				t = attach(t, func(amt.Unit) { eos() })
-				t = attach(t, func(amt.Unit) { constraints() })
+				t = amt.ThenRunAt(parent, home, func(amt.Unit) { monoq() })
+				t = amt.ThenRunAt(t, home, func(amt.Unit) { eos() })
+				t = amt.ThenRunAt(t, home, func(amt.Unit) { constraints() })
 			}
 			regionTasks = append(regionTasks, t)
 		})
@@ -657,12 +427,6 @@ func (b *BackendTask) launchRegions(d *domain.Domain, elems []*amt.Void) []*amt.
 			parent = amt.AfterAll(b.s, regionTasks)
 		}
 	}
-	if len(batchFns) > 0 {
-		if b.aff == nil {
-			batchHomes = nil
-		}
-		out = append(out, amt.ThenRunBatchAt(barrier, batchFns, batchHomes)...)
-	}
 	return out
 }
 
@@ -672,13 +436,11 @@ func (b *BackendTask) launchRegions(d *domain.Domain, elems []*amt.Void) []*amt.
 func (b *BackendTask) launchVolumes(d *domain.Domain, elems []*amt.Void) []*amt.Void {
 	vCut := d.Par.VCut
 	barrier := amt.AfterAll(b.s, elems)
-	var fns []func(amt.Unit)
-	var homes []int
+	var out []*amt.Void
 	partition(d.NumElem(), b.opt.PartElem, func(lo, hi int) {
-		fns = append(fns, func(amt.Unit) {
+		out = append(out, amt.ThenRunAt(barrier, b.aff.elemWorker(lo), func(amt.Unit) {
 			kernels.UpdateVolumes(d, vCut, lo, hi)
-		})
-		homes = append(homes, b.homeElem(lo))
+		}))
 	})
-	return b.attachStage(barrier, fns, homes)
+	return out
 }

@@ -45,7 +45,6 @@ func TestTaskGraphShape(t *testing.T) {
 	if err := b.Step(d); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for any counter laggards.
 	got := b.s.CountersSnapshot().Tasks
 	if got != want {
 		t.Fatalf("task graph has %d tasks per iteration, want %d "+

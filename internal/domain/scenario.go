@@ -427,8 +427,8 @@ func (s pistonScenario) Build(cfg BoxConfig, opts map[string]string) (*Domain, e
 // multimatScenario is the load-imbalance stress case: a Sedov-style blast
 // through a mesh shattered into many small regions under the "extreme"
 // cost model, cranking the region count and EOS repetition far past the
-// paper's Table I setup. This is the regime the locality and
-// adaptive-grain machinery exists for.
+// paper's Table I setup. This is the regime where the task scheduler
+// does most of the work.
 type multimatScenario struct{}
 
 func (multimatScenario) Name() string { return ScenarioMultimat }

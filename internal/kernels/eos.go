@@ -29,8 +29,7 @@ import (
 //
 // All fifteen planes are carved from one arena (a single backing
 // allocation), so one partition's EOS temporaries are contiguous in memory
-// and growing the scratch — e.g. when the adaptive grain controller widens
-// partitions mid-run — costs one allocation, not fifteen.
+// and growing the scratch costs one allocation, not fifteen.
 type EOSScratch struct {
 	EOld, Delvc, POld, QOld   []float64
 	Compression, CompHalfStep []float64

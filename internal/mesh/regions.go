@@ -6,8 +6,8 @@ import "fmt"
 // region's index. CostModelReference is LULESH 2.0's distribution;
 // CostModelExtreme (the multimat scenario) pushes far more of the regions
 // into the expensive tiers and adds a 10x-steeper top tier, producing the
-// many-small-expensive-regions imbalance regime the locality and
-// adaptive-grain scheduling work targets.
+// many-small-expensive-regions imbalance regime that stresses the task
+// scheduler.
 const (
 	CostModelReference = "" // zero value: the LULESH 2.0 distribution
 	CostModelExtreme   = "extreme"

@@ -3,6 +3,7 @@ package perf
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -67,7 +68,34 @@ func (r BenchRecord) Validate() error {
 	case r.Build.GoVersion == "":
 		return fmt.Errorf("perf: record %q missing build info", r.Name)
 	}
+	// The three throughput figures must agree on units. Pre-scenario
+	// records carry no grind; Grind derives it from the FOM.
+	if r.GrindUsZC > 0 {
+		if prod := r.FOM * r.GrindUsZC; math.Abs(prod-1e6) > 1e3 {
+			return fmt.Errorf("perf: record %q has fom_zps × grind_us_zc = %.6g, want 1e6", r.Name, prod)
+		}
+	}
+	if r.Size > 0 {
+		zones := float64(r.Size) * float64(r.Size) * float64(r.Size)
+		if implied := r.FOM * r.ElapsedSec / float64(r.Iterations); implied < 0.99*zones {
+			return fmt.Errorf("perf: record %q implies %.6g zones (fom_zps × elapsed_sec / iterations), size %d has %.6g",
+				r.Name, implied, r.Size, zones)
+		}
+	}
 	return nil
+}
+
+// SetThroughput fills ElapsedSec, FOM (zones/s) and GrindUsZC (µs per
+// zone per cycle) for a run that advanced zones zones through cycles
+// cycles in elapsed wall time. Every record writer derives the three
+// figures here, so no writer can store them in different units.
+func (r *BenchRecord) SetThroughput(zones, cycles int, elapsed time.Duration) {
+	r.ElapsedSec = elapsed.Seconds()
+	r.FOM, r.GrindUsZC = 0, 0
+	if elapsed > 0 && zones > 0 && cycles > 0 {
+		r.FOM = float64(zones) * float64(cycles) / r.ElapsedSec
+		r.GrindUsZC = 1e6 / r.FOM
+	}
 }
 
 // ConfigKey identifies the measured configuration — the unit the bench

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -132,6 +133,13 @@ func TestBenchRecordValidate(t *testing.T) {
 		"grind":      func(r *BenchRecord) { r.GrindUsZC = -0.5 },
 		"queue_wait": func(r *BenchRecord) { r.QueueWaitUs = -1 },
 		"build":      func(r *BenchRecord) { r.Build = BuildInfo{} },
+		// A FOM stored in kilo-zones/s instead of zones/s breaks both
+		// unit checks.
+		"fom_units": func(r *BenchRecord) { r.FOM /= 1000 },
+		"zones": func(r *BenchRecord) {
+			r.FOM /= 2
+			r.GrindUsZC *= 2
+		},
 	}
 	for name, mutate := range mutations {
 		r := goldenRecord()
@@ -139,6 +147,26 @@ func TestBenchRecordValidate(t *testing.T) {
 		if err := r.Validate(); err == nil {
 			t.Errorf("record with bad %s validated", name)
 		}
+	}
+}
+
+// TestSetThroughput: the one derivation of elapsed, FOM and grind yields a
+// record that passes both unit checks, and degenerate runs zero the rates.
+func TestSetThroughput(t *testing.T) {
+	r := goldenRecord()
+	r.SetThroughput(r.Size*r.Size*r.Size, r.Iterations, 1500*time.Millisecond)
+	if r.ElapsedSec != 1.5 {
+		t.Errorf("elapsed = %v, want 1.5", r.ElapsedSec)
+	}
+	if want := float64(r.Size*r.Size*r.Size*r.Iterations) / 1.5; r.FOM != want {
+		t.Errorf("fom = %v, want %v zones/s", r.FOM, want)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("SetThroughput record does not validate: %v", err)
+	}
+	r.SetThroughput(1000, 10, 0)
+	if r.FOM != 0 || r.GrindUsZC != 0 {
+		t.Errorf("zero elapsed left fom %v grind %v", r.FOM, r.GrindUsZC)
 	}
 }
 

@@ -63,15 +63,13 @@ type JobSpec struct {
 	Balance int `json:"balance,omitempty"`
 	Cost    int `json:"cost,omitempty"`
 
-	// Locality / scheduling toggles (nil = backend default on). Only
-	// meaningful for backend "task".
-	Affinity        *bool `json:"affinity,omitempty"`
+	// The paper's technique toggles (nil = backend default on). Only
+	// meaningful for backend "task". Keys the decoder does not know are
+	// ignored, so a body naming a retired toggle is still accepted.
 	Chain           *bool `json:"chain,omitempty"`
 	Fuse            *bool `json:"fuse,omitempty"`
 	ParallelForces  *bool `json:"parallel_forces,omitempty"`
 	ParallelRegions *bool `json:"parallel_regions,omitempty"`
-	BatchSpawn      *bool `json:"batch_spawn,omitempty"`
-	AdaptiveGrain   *bool `json:"adaptive_grain,omitempty"` // default off
 
 	// Distributed options (backend "dist" only).
 	Ranks    int  `json:"ranks,omitempty"`    // default 2
@@ -623,13 +621,10 @@ func (m *Manager) runJob(j *Job) (perf.BenchRecord, error) {
 				*dst = *src
 			}
 		}
-		applyToggle(&opt.Affinity, j.Spec.Affinity)
 		applyToggle(&opt.Chain, j.Spec.Chain)
 		applyToggle(&opt.Fuse, j.Spec.Fuse)
 		applyToggle(&opt.ParallelForces, j.Spec.ParallelForces)
 		applyToggle(&opt.ParallelRegions, j.Spec.ParallelRegions)
-		applyToggle(&opt.BatchSpawn, j.Spec.BatchSpawn)
-		applyToggle(&opt.AdaptiveGrain, j.Spec.AdaptiveGrain)
 		bt := core.NewBackendTask(d, opt)
 		j.prof = perf.NewProfiler(m.cfg.Workers, 0)
 		bt.SetProfiler(j.prof)
@@ -665,15 +660,11 @@ func (m *Manager) runJob(j *Job) (perf.BenchRecord, error) {
 		Size:        res.Size,
 		Regions:     res.Regions,
 		Iterations:  res.Iterations,
-		ElapsedSec:  res.Elapsed.Seconds(),
-		FOM:         res.FOM(),
 		JobID:       j.ID,
 		QueueWaitUs: float64(j.queueWait.Microseconds()),
 		Counters:    map[string]float64{"origin_energy": res.OriginEnergy},
 	}
-	if rec.FOM > 0 {
-		rec.GrindUsZC = 1e6 / rec.FOM
-	}
+	rec.SetThroughput(d.NumElem(), res.Iterations, res.Elapsed)
 	if j.prof != nil {
 		rec.Phases = j.prof.Snapshot().Phases
 	}
@@ -689,15 +680,14 @@ func (m *Manager) runDistJob(j *Job) (perf.BenchRecord, error) {
 	if err != nil {
 		return perf.BenchRecord{}, err
 	}
-	cfg := dist.Config{
-		Nx: j.Spec.Size, Ny: j.Spec.Size, NzPerRank: j.Spec.Size,
-		Ranks:         j.Spec.Ranks,
-		Scenario:      spec,
-		Async:         j.Spec.Async,
-		Coalesce:      j.Spec.Coalesce,
-		TreeReduce:    j.Spec.Tree,
-		MaxIterations: j.Spec.Iterations,
-	}
+	// Start from dist.DefaultConfig: a zero region model is not a
+	// runnable scenario.
+	cfg := dist.DefaultConfig(j.Spec.Size, j.Spec.Ranks)
+	cfg.Scenario = spec
+	cfg.Async = j.Spec.Async
+	cfg.Coalesce = j.Spec.Coalesce
+	cfg.TreeReduce = j.Spec.Tree
+	cfg.MaxIterations = j.Spec.Iterations
 	if j.Spec.Regions > 0 {
 		cfg.NumReg = j.Spec.Regions
 	}
@@ -728,7 +718,6 @@ func (m *Manager) runDistJob(j *Job) (perf.BenchRecord, error) {
 		Workers:     j.Spec.Ranks,
 		Size:        j.Spec.Size,
 		Iterations:  res.Iterations,
-		ElapsedSec:  res.Elapsed.Seconds(),
 		JobID:       j.ID,
 		QueueWaitUs: float64(j.queueWait.Microseconds()),
 		Counters: map[string]float64{
@@ -737,12 +726,7 @@ func (m *Manager) runDistJob(j *Job) (perf.BenchRecord, error) {
 			"recoveries":    float64(res.Recoveries),
 		},
 	}
-	if res.Elapsed > 0 {
-		rec.FOM = float64(j.zones) * float64(res.Iterations) / res.Elapsed.Seconds() / 1000.0
-	}
-	if rec.FOM > 0 {
-		rec.GrindUsZC = 1e6 / rec.FOM
-	}
+	rec.SetThroughput(int(j.zones), res.Iterations, res.Elapsed)
 	return rec, nil
 }
 

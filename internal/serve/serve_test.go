@@ -121,6 +121,49 @@ func TestConcurrentJobsBitwiseVsSerial(t *testing.T) {
 	}
 }
 
+// TestServedRecordsValidate: a served task job and a 2-rank dist job each
+// persist a record whose throughput figures are in the documented units
+// (fom_zps in zones/s, grind_us_zc its reciprocal in µs), so Validate
+// accepts them — and the same record with fom_zps stored in kilo-zones/s
+// is refused.
+func TestServedRecordsValidate(t *testing.T) {
+	m, err := NewManager(Config{Workers: 2, ResultsDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for _, sp := range []JobSpec{
+		{Scenario: "sedov", Size: 4, Iterations: 6, Backend: "task"},
+		{Scenario: "sedov", Size: 4, Iterations: 6, Backend: "dist", Ranks: 2},
+	} {
+		j, err := m.Submit(sp)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", sp.Backend, err)
+		}
+		if st := waitState(t, m, j.ID, 30*time.Second); st.State != StateDone {
+			t.Fatalf("%s: state %s (%s)", sp.Backend, st.State, st.Error)
+		}
+		rec, ok, err := m.Store().Get(j.ID)
+		if err != nil || !ok {
+			t.Fatalf("%s: result missing (%v)", sp.Backend, err)
+		}
+		if err := rec.Validate(); err != nil {
+			t.Errorf("%s: served record invalid: %v", sp.Backend, err)
+		}
+		zones := float64(sp.Size * sp.Size * sp.Size)
+		if sp.Backend == "dist" {
+			zones *= float64(sp.Ranks)
+		}
+		if want := zones * float64(rec.Iterations) / rec.ElapsedSec; rec.FOM != want {
+			t.Errorf("%s: fom_zps = %v, want %v zones/s", sp.Backend, rec.FOM, want)
+		}
+		rec.FOM /= 1000
+		if err := rec.Validate(); err == nil {
+			t.Errorf("%s: record with fom_zps in kilo-zones/s validated", sp.Backend)
+		}
+	}
+}
+
 // TestAdmissionControl: a manager with a tiny zone budget must serve the
 // first job and reject the overflow with a 429-coded AdmissionError
 // carrying Retry-After; an unsatisfiably large job gets 400, not 429.
