@@ -66,34 +66,35 @@ chaos:
 		-exchange-deadline 20ms -checkpoint-every 5
 
 # The network gate: the TCP fabric's protocol tests under the race
-# detector, the frame-decoder fuzz corpus, a clean multi-process smoke
-# run, a chaos run (drops over real sockets plus a SIGKILLed rank
-# recovering from durable checkpoints), and the wire ≡ in-process
-# bitwise-identity proof.
+# detector, the frame-decoder and fleet-trace-blob fuzz corpora, a clean
+# multi-process smoke run, a chaos run (drops over real sockets plus a
+# SIGKILLed rank recovering from durable checkpoints), and the wire ≡
+# in-process bitwise-identity proof.
 net:
 	$(GO) test -race -count=1 -run 'Wire|Bootstrap|Exchange|PeerDeath|Goodbye|FileStore|Frame|Header|Float|Slab' \
 		./internal/wire/ ./internal/dist/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/wire/
+	$(GO) test -run=NONE -fuzz=FuzzFleetBlob -fuzztime=10s ./internal/perf/
 	$(GO) build -race -o /tmp/lulesh-net ./cmd/lulesh
 	/tmp/lulesh-net -np 4 -s 8 -i 20 -q
 	/tmp/lulesh-net -np 4 -s 8 -i 30 -q -faults drop=0.02,dup=0.02 \
 		-checkpoint-every 5 -wire-kill 2@12
 	$(GO) run ./cmd/luleshverify -net
 
-# The overlap gate: the boundary-first schedule, tree allreduce and
-# coalesced-frame paths race-clean; bitwise identity of every toggle
-# combination against the synchronous schedule, per scenario, including
-# an 8-process wire run of the fully overlapped schedule against an
-# in-process synchronous ground truth (inside luleshverify -net); then
+# The overlap gate: the boundary-first schedule and tree allreduce
+# race-clean; bitwise identity of every toggle combination against the
+# synchronous schedule, per scenario, including an 8-process wire run of
+# the fully overlapped schedule against an in-process synchronous ground
+# truth (inside luleshverify -net); then
 # the headroom check — an 8-rank run with injected link latency must
 # keep its overlap headroom (from the stall report, see ROADMAP item 3)
 # under the recorded ceiling. Like BCE_CEILING this is a recorded
 # regression backstop, not a target: ~63–66 % was measured on the
 # single-core reference container (EXPERIMENTS.md "Overlapping the hot
 # network path"), where headroom is mostly rank serialization; tighten
-# it on real multi-core runners. The gated run uses async+coalesce with
-# the tree reduction off: a binomial tree serializes 2·log2(n) latency
-# hops where the flat gather pays concurrent ones, so under injected
+# it on real multi-core runners. The gated run uses async with the tree
+# reduction off: a binomial tree serializes 2·log2(n) latency hops where
+# the flat gather pays concurrent ones, so under injected
 # latency the tree is the wrong tool — its win is rank-0 message count,
 # which TestTreeReduceMessageCounts pins exactly.
 OVERLAP_HEADROOM_CEILING ?= 70
@@ -107,11 +108,11 @@ overlap:
 	/tmp/lulesh-overlap -ranks 8 -s 8 -i 40 -q -latency 200us \
 		-fleet-out /tmp/lulesh-overlap-sync.json
 	/tmp/lulesh-overlap -ranks 8 -s 8 -i 40 -q -latency 200us \
-		-dist-async -coalesce -fleet-out /tmp/lulesh-overlap-async.json
+		-dist-async -fleet-out /tmp/lulesh-overlap-async.json
 	@echo "--- stall report: sync + 200us injected latency ---"
 	@$(GO) run ./cmd/luleshbench -stall-report /tmp/lulesh-overlap-sync.json \
 		| tee /tmp/lulesh-overlap-sync-stall.txt
-	@echo "--- stall report: async+coalesce + 200us injected latency ---"
+	@echo "--- stall report: async + 200us injected latency ---"
 	@$(GO) run ./cmd/luleshbench -stall-report /tmp/lulesh-overlap-async.json \
 		| tee /tmp/lulesh-overlap-async-stall.txt
 	@pct=$$(sed -n 's/.*overlap headroom.*(\([0-9.]*\)% of wall.*/\1/p' \

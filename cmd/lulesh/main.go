@@ -69,7 +69,6 @@ func main() {
 		ranks     = flag.Int("ranks", 0, "run the multi-domain driver with this many simulated ranks (0 = single-domain mode)")
 		distAsync = flag.Bool("dist-async", false, "overlapped (asynchronous) exchange schedule instead of the synchronous one")
 		treeRed   = flag.Bool("tree-reduce", false, "binomial-tree dt allreduce instead of the linear gather to rank 0")
-		coalesce  = flag.Bool("coalesce", false, "coalesce each step's per-peer boundary slabs into one frame per (peer, direction)")
 		latency   = flag.Duration("latency", 0, "deterministic one-way link latency injected into the fabric (in-process and wire)")
 		faults    = flag.String("faults", "", "fault injection spec: drop=P,delay=P[:DUR],dup=P,reorder=P,crash=RANK@STEP")
 		faultSeed = flag.Uint64("fault-seed", 1, "PRNG seed for -faults (a run is reproducible from spec+seed)")
@@ -107,32 +106,37 @@ func main() {
 		}
 	})
 
+	// Hybrid MPI+X only when -threads was given explicitly: the
+	// single-domain default (GOMAXPROCS) would silently oversubscribe
+	// every rank with a full team.
+	threadsPerRank := 1
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "threads" {
+			threadsPerRank = *threads
+		}
+	})
+	df := distFlags{
+		size: *size, regions: *regions, iters: *iters,
+		balance: *balance, cost: *cost, quiet: *quiet,
+		threads: threadsPerRank, metrics: *metrics,
+		trace: *traceOut, fleetOut: *fleetOut,
+		ranks: *ranks, async: *distAsync, scenario: spec,
+		treeReduce: *treeRed, latency: *latency,
+		faults: *faults, faultSeed: *faultSeed,
+		checkpointEvery: *ckptEvery, deadline: *deadline,
+		retryLimit: *retryLim, maxRestarts: *restarts,
+	}
+
 	if *wireRank >= 0 {
 		// Worker process of a multi-process run (forked by the -np
 		// launcher, or hand-started against an explicit -rendezvous).
-		threadsPerRank := 1
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "threads" {
-				threadsPerRank = *threads
-			}
-		})
 		if *ranks < 1 {
 			fmt.Fprintln(os.Stderr, "-rank requires -ranks (the fabric size)")
 			os.Exit(2)
 		}
 		runWireWorker(wireFlags{
-			distFlags: distFlags{
-				size: *size, regions: *regions, iters: *iters,
-				balance: *balance, cost: *cost, quiet: *quiet,
-				threads: threadsPerRank, metrics: *metrics,
-				trace: *traceOut, fleetOut: *fleetOut,
-				ranks: *ranks, async: *distAsync, scenario: spec,
-				treeReduce: *treeRed, coalesce: *coalesce, latency: *latency,
-				faults: *faults, faultSeed: *faultSeed,
-				checkpointEvery: *ckptEvery, deadline: *deadline,
-				retryLimit: *retryLim,
-			},
-			rank: *wireRank, rendezvous: *rendezvous,
+			distFlags: df,
+			rank:      *wireRank, rendezvous: *rendezvous,
 			cookie: *wireCookie, attempt: *wireAttempt,
 			checkpointDir: *ckptDir, wireKill: *wireKill,
 			peerTimeout: *peerTimeout,
@@ -145,26 +149,7 @@ func main() {
 	}
 
 	if *ranks > 0 {
-		// Hybrid MPI+X only when -threads was given explicitly: the
-		// single-domain default (GOMAXPROCS) would silently oversubscribe
-		// every rank with a full team.
-		threadsPerRank := 1
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "threads" {
-				threadsPerRank = *threads
-			}
-		})
-		runDist(distFlags{
-			size: *size, regions: *regions, iters: *iters,
-			balance: *balance, cost: *cost, quiet: *quiet,
-			threads: threadsPerRank, metrics: *metrics,
-			trace: *traceOut, fleetOut: *fleetOut,
-			ranks: *ranks, async: *distAsync, scenario: spec, latency: *latency,
-			treeReduce: *treeRed, coalesce: *coalesce,
-			faults: *faults, faultSeed: *faultSeed,
-			checkpointEvery: *ckptEvery, deadline: *deadline,
-			retryLimit: *retryLim, maxRestarts: *restarts,
-		})
+		runDist(df)
 		return
 	}
 
@@ -457,7 +442,6 @@ type distFlags struct {
 	ranks           int
 	async           bool
 	treeReduce      bool
-	coalesce        bool
 	latency         time.Duration
 	faults          string
 	faultSeed       uint64
@@ -467,16 +451,16 @@ type distFlags struct {
 	maxRestarts     int
 }
 
-// runDist executes the multi-domain mode: N simulated ranks, optional fault
-// injection, deadline/retry recovery, and checkpoint-based restart.
-func runDist(f distFlags) {
+// config builds the distributed configuration both drivers run, the
+// in-process one and a wire worker, exiting on a malformed -faults spec.
+func (f distFlags) config() dist.Config {
 	cfg := dist.Config{
 		Nx: f.size, Ny: f.size, NzPerRank: f.size, Ranks: f.ranks,
 		NumReg: f.regions, Balance: f.balance, Cost: f.cost,
 		Scenario: f.scenario,
 		Async:    f.async, ThreadsPerRank: f.threads,
-		TreeReduce: f.treeReduce, Coalesce: f.coalesce,
-		Latency: f.latency, MaxIterations: f.iters,
+		TreeReduce: f.treeReduce,
+		Latency:    f.latency, MaxIterations: f.iters,
 		ExchangeDeadline: f.deadline, RetryLimit: f.retryLimit,
 		CheckpointEvery: f.checkpointEvery, MaxRestarts: f.maxRestarts,
 	}
@@ -488,6 +472,13 @@ func runDist(f distFlags) {
 		}
 		cfg.Faults = plan
 	}
+	return cfg
+}
+
+// runDist executes the multi-domain mode: N simulated ranks, optional fault
+// injection, deadline/retry recovery, and checkpoint-based restart.
+func runDist(f distFlags) {
+	cfg := f.config()
 
 	// Tracing: per-step compute/wait attribution and message spans,
 	// mirrored into a profiler (one shard per rank) so the breakdown
@@ -515,7 +506,7 @@ func runDist(f distFlags) {
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics\n", srv.Addr)
 	}
 
-	sched := f.scheduleLabel()
+	sched := cfg.Schedule()
 	if !f.quiet {
 		fmt.Printf("Running %d ranks x %d^3 (%s exchange, %d threads/rank)\n",
 			f.ranks, f.size, sched, f.threads)
@@ -574,23 +565,6 @@ func runDist(f distFlags) {
 	fmt.Printf("%d,%d,%s,%d,%.6f,%.6e,%d\n",
 		f.size, f.ranks, sched, res.Iterations,
 		res.Elapsed.Seconds(), res.OriginEnergy, res.Recoveries)
-}
-
-// scheduleLabel names the exchange schedule with its overlap toggles —
-// the same string the wire handshake embeds in its geometry, so mixed
-// fabrics are refused at Join.
-func (f distFlags) scheduleLabel() string {
-	s := "sync"
-	if f.async {
-		s = "async"
-	}
-	if f.treeReduce {
-		s += "+tree"
-	}
-	if f.coalesce {
-		s += "+coalesce"
-	}
-	return s
 }
 
 // traceOn reports whether the distributed run should record traces: any

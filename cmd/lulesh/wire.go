@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"lulesh/internal/comm"
 	"lulesh/internal/dist"
 	"lulesh/internal/perf"
 	"lulesh/internal/wire"
@@ -88,25 +87,7 @@ func runLauncher(np, maxRestarts, ckptEvery int, ckptDir string, quiet bool) {
 // failure exits wire.ExitRecoverable so the launcher relaunches the
 // fabric.
 func runWireWorker(f wireFlags) {
-	cfg := dist.Config{
-		Nx: f.size, Ny: f.size, NzPerRank: f.size, Ranks: f.ranks,
-		NumReg: f.regions, Balance: f.balance, Cost: f.cost,
-		Scenario: f.scenario,
-		Async:    f.async, ThreadsPerRank: f.threads,
-		TreeReduce: f.treeReduce, Coalesce: f.coalesce,
-		Latency:          f.latency,
-		MaxIterations:    f.iters,
-		ExchangeDeadline: f.deadline, RetryLimit: f.retryLimit,
-		CheckpointEvery: f.checkpointEvery,
-	}
-	if f.faults != "" {
-		plan, err := comm.ParseFaultPlan(f.faults, f.faultSeed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "faults: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = plan
-	}
+	cfg := f.config()
 
 	// Tracing: the wire layer records the message spans (it owns the
 	// header clock); the per-process profiler carries this rank's
@@ -156,7 +137,7 @@ func runWireWorker(f wireFlags) {
 
 	if f.rank == 0 && !f.quiet {
 		fmt.Printf("Running %d worker processes x %d^3 over TCP (%s exchange, %d threads/rank)\n",
-			f.ranks, f.size, f.scheduleLabel(), f.threads)
+			f.ranks, f.size, cfg.Schedule(), f.threads)
 		if f.latency > 0 {
 			fmt.Printf("  injected link latency: %v one-way\n", f.latency)
 		}
@@ -181,7 +162,7 @@ func runWireWorker(f wireFlags) {
 	if f.rank != 0 {
 		return
 	}
-	sched := f.scheduleLabel()
+	sched := cfg.Schedule()
 	if !f.quiet {
 		fmt.Printf("Run completed:\n")
 		fmt.Printf("  Iteration count       = %d\n", res.Iterations)

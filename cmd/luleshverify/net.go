@@ -23,10 +23,10 @@ import (
 
 // netCheck runs the wire-vs-in-process comparison for one rank count.
 // With overlap set, the wire workers run the fully overlapped schedule
-// (boundary-first + tree allreduce + coalesced frames) while the
-// in-process ground truth stays synchronous — one comparison then
-// proves both that the transport is invisible and that the overlapped
-// schedule reproduces the synchronous physics bit for bit.
+// (boundary-first + tree allreduce) while the in-process ground truth
+// stays synchronous — one comparison then proves both that the transport
+// is invisible and that the overlapped schedule reproduces the
+// synchronous physics bit for bit.
 func netCheck(size, steps int, spec domain.ScenarioSpec, np int, overlap bool) {
 	name := fmt.Sprintf("wire == in-process (%d ranks)", np)
 	if overlap {
@@ -117,14 +117,14 @@ func netCheck(size, steps int, spec domain.ScenarioSpec, np int, overlap bool) {
 // runNetWorker is the hidden worker mode: execute one rank of the wire
 // fabric and dump its final domain for the parent to compare. With
 // overlap set, the worker steps the boundary-first schedule with the
-// tree allreduce and coalesced ghost frames.
+// tree allreduce.
 func runNetWorker(size, steps int, spec domain.ScenarioSpec, rank, ranks int, rendezvous, cookie, final string, overlap bool) {
 	cfg := domain.DefaultConfig(size)
 	dcfg := dist.Config{
 		Nx: size, Ny: size, NzPerRank: size, Ranks: ranks,
 		NumReg: cfg.NumReg, Balance: 1, Cost: 1, MaxIterations: steps,
 		Scenario: spec, Trace: true,
-		Async: overlap, TreeReduce: overlap, Coalesce: overlap,
+		Async: overlap, TreeReduce: overlap,
 	}
 	_, err := dist.RunWire(dcfg, dist.WireOptions{
 		Rank:           rank,

@@ -46,34 +46,16 @@ type Tag int
 // Exchange phases of the multi-domain leapfrog.
 const (
 	TagNodalMass Tag = iota + 1
-	TagForceX
-	TagForceY
-	TagForceZ
-	TagDelvXi
-	TagDelvEta
-	TagDelvZeta
 	TagReduce
 	TagTrace  // post-run trace-snapshot gather to rank 0
-	TagForces // coalesced boundary forces: Fx|Fy|Fz in one frame per peer
-	TagDelv   // coalesced boundary gradients: DelvXi|Eta|Zeta in one frame per peer
+	TagForces // boundary forces: Fx|Fy|Fz in one frame per peer
+	TagDelv   // boundary gradients: DelvXi|DelvEta|DelvZeta in one frame per peer
 )
 
 func (t Tag) String() string {
 	switch t {
 	case TagNodalMass:
 		return "nodalMass"
-	case TagForceX:
-		return "forceX"
-	case TagForceY:
-		return "forceY"
-	case TagForceZ:
-		return "forceZ"
-	case TagDelvXi:
-		return "delvXi"
-	case TagDelvEta:
-		return "delvEta"
-	case TagDelvZeta:
-		return "delvZeta"
 	case TagReduce:
 		return "reduce"
 	case TagTrace:

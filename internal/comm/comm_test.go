@@ -31,8 +31,8 @@ func TestSendRecvRoundtrip(t *testing.T) {
 	c := NewCluster(2)
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	want := []float64{1, 2, 3}
-	go a.Send(1, TagForceX, want)
-	got := b.Recv(0, TagForceX)
+	go a.Send(1, TagForces, want)
+	got := b.Recv(0, TagForces)
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
@@ -42,9 +42,9 @@ func TestSendCopiesPayload(t *testing.T) {
 	c := NewCluster(2)
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	buf := []float64{1, 2}
-	a.Send(1, TagForceX, buf)
+	a.Send(1, TagForces, buf)
 	buf[0] = 99 // mutate after send: receiver must see the original
-	got := b.Recv(0, TagForceX)
+	got := b.Recv(0, TagForces)
 	if got[0] != 1 {
 		t.Fatalf("payload aliased: got %v", got)
 	}
@@ -54,10 +54,10 @@ func TestMessagesOrderedPerPair(t *testing.T) {
 	c := NewCluster(2)
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	for i := 0; i < 10; i++ {
-		a.Send(1, TagForceX, []float64{float64(i)})
+		a.Send(1, TagForces, []float64{float64(i)})
 	}
 	for i := 0; i < 10; i++ {
-		if got := b.Recv(0, TagForceX); got[0] != float64(i) {
+		if got := b.Recv(0, TagForces); got[0] != float64(i) {
 			t.Fatalf("message %d out of order: %v", i, got)
 		}
 	}
@@ -66,13 +66,13 @@ func TestMessagesOrderedPerPair(t *testing.T) {
 func TestTagMismatchPanics(t *testing.T) {
 	c := NewCluster(2)
 	a, b := c.Endpoint(0), c.Endpoint(1)
-	a.Send(1, TagForceX, []float64{1})
+	a.Send(1, TagForces, []float64{1})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("tag mismatch should panic")
 		}
 	}()
-	b.Recv(0, TagDelvXi)
+	b.Recv(0, TagDelv)
 }
 
 func TestSendToSelfPanics(t *testing.T) {
@@ -83,17 +83,17 @@ func TestSendToSelfPanics(t *testing.T) {
 			t.Fatal("send to self should panic")
 		}
 	}()
-	a.Send(0, TagForceX, nil)
+	a.Send(0, TagForces, nil)
 }
 
 func TestTryRecv(t *testing.T) {
 	c := NewCluster(2)
 	a, b := c.Endpoint(0), c.Endpoint(1)
-	if _, ok := b.TryRecv(0, TagForceX); ok {
+	if _, ok := b.TryRecv(0, TagForces); ok {
 		t.Fatal("TryRecv on empty pipe returned a message")
 	}
-	a.Send(1, TagForceX, []float64{7})
-	got, ok := b.TryRecv(0, TagForceX)
+	a.Send(1, TagForces, []float64{7})
+	got, ok := b.TryRecv(0, TagForces)
 	if !ok || got[0] != 7 {
 		t.Fatalf("TryRecv = %v, %v", got, ok)
 	}
@@ -104,17 +104,17 @@ func TestRecvWaitAccounting(t *testing.T) {
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
-		a.Send(1, TagForceX, []float64{1})
+		a.Send(1, TagForces, []float64{1})
 	}()
-	b.Recv(0, TagForceX)
+	b.Recv(0, TagForces)
 	if w := b.StatsSnapshot().Wait; w < 10*time.Millisecond {
 		t.Fatalf("blocked receive accounted only %v wait", w)
 	}
 	// An eager receive must not accumulate wait.
-	a.Send(1, TagForceX, []float64{2})
+	a.Send(1, TagForces, []float64{2})
 	time.Sleep(time.Millisecond)
 	before := b.StatsSnapshot().Wait
-	b.Recv(0, TagForceX)
+	b.Recv(0, TagForces)
 	if after := b.StatsSnapshot().Wait; after != before {
 		t.Fatalf("eager receive accumulated wait: %v -> %v", before, after)
 	}
@@ -123,8 +123,8 @@ func TestRecvWaitAccounting(t *testing.T) {
 func TestStatsCounts(t *testing.T) {
 	c := NewCluster(2)
 	a, b := c.Endpoint(0), c.Endpoint(1)
-	a.Send(1, TagForceX, make([]float64, 5))
-	b.Recv(0, TagForceX)
+	a.Send(1, TagForces, make([]float64, 5))
+	b.Recv(0, TagForces)
 	sa, sb := a.StatsSnapshot(), b.StatsSnapshot()
 	if sa.Sent != 1 || sa.BytesSent != 40 || sb.Received != 1 {
 		t.Fatalf("stats: a=%+v b=%+v", sa, sb)
@@ -346,7 +346,7 @@ func TestDelayTransport(t *testing.T) {
 	// composes with an inner transport (here a duplicate-once model whose
 	// copies must each carry the delay).
 	d := NewDelay(2*time.Millisecond, nil)
-	out := d.Transmit(Message{From: 0, To: 1, Tag: TagForceX})
+	out := d.Transmit(Message{From: 0, To: 1, Tag: TagForces})
 	if len(out) != 1 || out[0].Delay != 2*time.Millisecond {
 		t.Fatalf("identity transmit: %+v", out)
 	}
@@ -359,7 +359,7 @@ func TestDelayTransport(t *testing.T) {
 
 	inner := NewFaultInjector(FaultPlan{Seed: 1, Delay: 1, DelayBy: time.Millisecond}, 2)
 	wrapped := NewDelay(2*time.Millisecond, inner)
-	out = wrapped.Transmit(Message{From: 0, To: 1, Tag: TagForceX})
+	out = wrapped.Transmit(Message{From: 0, To: 1, Tag: TagForces})
 	for _, m := range out {
 		if m.Delay < 2*time.Millisecond {
 			t.Fatalf("inner delivery missing link delay: %+v", m)
@@ -378,15 +378,15 @@ func TestFabricStatsUnwrapsDelay(t *testing.T) {
 		ExchangeDeadline: time.Millisecond,
 		RetryLimit:       1,
 	})
-	c.Endpoint(0).Send(1, TagForceX, []float64{1})
+	c.Endpoint(0).Send(1, TagForces, []float64{1})
 	if got := c.FabricStats().Injected.Dropped; got == 0 {
 		t.Fatalf("injected stats not surfaced through Delay: %+v", c.FabricStats())
 	}
 }
 
 func TestTagStrings(t *testing.T) {
-	for _, tag := range []Tag{TagNodalMass, TagForceX, TagForceY, TagForceZ,
-		TagDelvXi, TagDelvEta, TagDelvZeta, TagReduce, Tag(99)} {
+	for _, tag := range []Tag{TagNodalMass, TagReduce, TagTrace, TagForces,
+		TagDelv, Tag(99)} {
 		if tag.String() == "" {
 			t.Fatalf("empty string for tag %d", tag)
 		}
@@ -408,8 +408,8 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	c := NewClusterLatency(2, 10*time.Millisecond)
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	t0 := time.Now()
-	a.Send(1, TagForceX, []float64{1})
-	got := b.Recv(0, TagForceX)
+	a.Send(1, TagForces, []float64{1})
+	got := b.Recv(0, TagForces)
 	elapsed := time.Since(t0)
 	if got[0] != 1 {
 		t.Fatalf("payload %v", got)
@@ -425,12 +425,12 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 func TestTryRecvHonorsLatency(t *testing.T) {
 	c := NewClusterLatency(2, 20*time.Millisecond)
 	a, b := c.Endpoint(0), c.Endpoint(1)
-	a.Send(1, TagForceX, []float64{7})
-	if _, ok := b.TryRecv(0, TagForceX); ok {
+	a.Send(1, TagForces, []float64{7})
+	if _, ok := b.TryRecv(0, TagForces); ok {
 		t.Fatal("TryRecv delivered a message before its latency elapsed")
 	}
 	time.Sleep(25 * time.Millisecond)
-	got, ok := b.TryRecv(0, TagForceX)
+	got, ok := b.TryRecv(0, TagForces)
 	if !ok || got[0] != 7 {
 		t.Fatalf("TryRecv after latency: %v %v", got, ok)
 	}
@@ -441,11 +441,11 @@ func TestHeadBufferThenBlockingRecv(t *testing.T) {
 	// a subsequent blocking Recv.
 	c := NewClusterLatency(2, 15*time.Millisecond)
 	a, b := c.Endpoint(0), c.Endpoint(1)
-	a.Send(1, TagForceX, []float64{3})
-	if _, ok := b.TryRecv(0, TagForceX); ok {
+	a.Send(1, TagForces, []float64{3})
+	if _, ok := b.TryRecv(0, TagForces); ok {
 		t.Fatal("premature delivery")
 	}
-	got := b.Recv(0, TagForceX) // must find the head and wait out latency
+	got := b.Recv(0, TagForces) // must find the head and wait out latency
 	if got[0] != 3 {
 		t.Fatalf("payload %v", got)
 	}

@@ -37,7 +37,7 @@ func ExampleTransport() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sender.Send(1, comm.TagForceX, []float64{3.5})
+		sender.Send(1, comm.TagForces, []float64{3.5})
 		// The transport dropped that send. A rank that only sends must
 		// poll for its peers' resend requests; ranks blocked in
 		// RecvDeadline service them automatically.
@@ -51,7 +51,7 @@ func ExampleTransport() {
 		}
 	}()
 
-	data, err := receiver.RecvDeadline(0, comm.TagForceX)
+	data, err := receiver.RecvDeadline(0, comm.TagForces)
 	done <- struct{}{}
 	fmt.Println(data, err)
 
@@ -135,10 +135,10 @@ func ExampleDelay() {
 		Transport:        comm.NewDelay(link, nil),
 		ExchangeDeadline: 100 * time.Millisecond,
 	})
-	go c.Endpoint(0).Send(1, comm.TagForceX, []float64{1.25})
+	go c.Endpoint(0).Send(1, comm.TagForces, []float64{1.25})
 
 	start := time.Now()
-	data, err := c.Endpoint(1).RecvDeadline(0, comm.TagForceX)
+	data, err := c.Endpoint(1).RecvDeadline(0, comm.TagForces)
 	fmt.Println(data, err)
 	fmt.Println("waited at least one link delay:", time.Since(start) >= link)
 	// Output:
@@ -191,7 +191,7 @@ func ExampleFaultInjector() {
 
 	identical := true
 	for i := 0; i < 1000; i++ {
-		m := comm.Message{From: 0, To: 1, Tag: comm.TagForceX, Seq: uint64(i)}
+		m := comm.Message{From: 0, To: 1, Tag: comm.TagForces, Seq: uint64(i)}
 		if len(a.Transmit(m)) != len(b.Transmit(m)) {
 			identical = false
 		}

@@ -62,7 +62,7 @@ func TestFaultInjectorDeterministic(t *testing.T) {
 		inj := NewFaultInjector(plan, 3)
 		var fates []string
 		for i := 0; i < 200; i++ {
-			m := Message{From: i % 3, To: (i + 1) % 3, Tag: TagForceX, Seq: uint64(i)}
+			m := Message{From: i % 3, To: (i + 1) % 3, Tag: TagForces, Seq: uint64(i)}
 			fates = append(fates, fate(m, inj.Transmit(m)))
 		}
 		return fates
@@ -91,11 +91,11 @@ func TestFaultInjectorStatsAndReorder(t *testing.T) {
 	// Reorder=1: the first message on a pair is held, the second delivery
 	// carries it behind itself.
 	inj := NewFaultInjector(FaultPlan{Seed: 1, Reorder: 1}, 2)
-	first := inj.Transmit(Message{From: 0, To: 1, Tag: TagForceX, Seq: 0})
+	first := inj.Transmit(Message{From: 0, To: 1, Tag: TagForces, Seq: 0})
 	if len(first) != 0 {
 		t.Fatalf("first message should be held, got %d deliveries", len(first))
 	}
-	second := inj.Transmit(Message{From: 0, To: 1, Tag: TagForceX, Seq: 1})
+	second := inj.Transmit(Message{From: 0, To: 1, Tag: TagForces, Seq: 1})
 	if len(second) != 2 || second[0].Seq != 1 || second[1].Seq != 0 {
 		t.Fatalf("reorder delivery = %+v", second)
 	}
@@ -103,9 +103,9 @@ func TestFaultInjectorStatsAndReorder(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 	// Reset clears a pending hold so it cannot leak into a restarted run.
-	inj.Transmit(Message{From: 0, To: 1, Tag: TagForceX, Seq: 2}) // held again
+	inj.Transmit(Message{From: 0, To: 1, Tag: TagForces, Seq: 2}) // held again
 	inj.Reset()
-	out := inj.Transmit(Message{From: 0, To: 1, Tag: TagForceX, Seq: 3})
+	out := inj.Transmit(Message{From: 0, To: 1, Tag: TagForces, Seq: 3})
 	for _, m := range out {
 		if m.Seq == 2 {
 			t.Fatal("Reset did not clear the held message")
@@ -156,7 +156,7 @@ func TestRecvDeadlineRecoversDrop(t *testing.T) {
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	done := make(chan struct{})
 	go func() {
-		a.Send(1, TagForceX, []float64{42})
+		a.Send(1, TagForces, []float64{42})
 		// The send was dropped; keep answering resend requests until the
 		// receiver confirms delivery.
 		for {
@@ -169,7 +169,7 @@ func TestRecvDeadlineRecoversDrop(t *testing.T) {
 			}
 		}
 	}()
-	got, err := b.RecvDeadline(0, TagForceX)
+	got, err := b.RecvDeadline(0, TagForces)
 	close(done)
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Fatalf("RecvDeadline = %v, %v", got, err)
@@ -190,7 +190,7 @@ func TestRecvDeadlineTimesOut(t *testing.T) {
 	})
 	b := c.Endpoint(1)
 	t0 := time.Now()
-	_, err := b.RecvDeadline(0, TagForceX)
+	_, err := b.RecvDeadline(0, TagForces)
 	if !errors.Is(err, ErrExchangeTimeout) {
 		t.Fatalf("want ErrExchangeTimeout, got %v", err)
 	}
@@ -212,10 +212,10 @@ func TestDuplicatesFiltered(t *testing.T) {
 	})
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	for i := 0; i < 5; i++ {
-		a.Send(1, TagForceX, []float64{float64(i)})
+		a.Send(1, TagForces, []float64{float64(i)})
 	}
 	for i := 0; i < 5; i++ {
-		got, err := b.RecvDeadline(0, TagForceX)
+		got, err := b.RecvDeadline(0, TagForces)
 		if err != nil || got[0] != float64(i) {
 			t.Fatalf("message %d: %v, %v", i, got, err)
 		}
@@ -240,10 +240,10 @@ func TestReorderRestored(t *testing.T) {
 	})
 	a, b := c.Endpoint(0), c.Endpoint(1)
 	for i := 0; i < 6; i++ {
-		a.Send(1, TagForceX, []float64{float64(i)})
+		a.Send(1, TagForces, []float64{float64(i)})
 	}
 	for i := 0; i < 6; i++ {
-		got, err := b.RecvDeadline(0, TagForceX)
+		got, err := b.RecvDeadline(0, TagForces)
 		if err != nil || got[0] != float64(i) {
 			t.Fatalf("message %d delivered out of order: %v, %v", i, got, err)
 		}

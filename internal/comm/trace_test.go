@@ -39,8 +39,8 @@ func TestWaitBucketSplit(t *testing.T) {
 	c := NewClusterLatency(2, 10*time.Millisecond)
 	a, b := c.Endpoint(0), c.Endpoint(1)
 
-	a.Send(1, TagDelvXi, []float64{1})
-	b.Recv(0, TagDelvXi)
+	a.Send(1, TagDelv, []float64{1})
+	b.Recv(0, TagDelv)
 	a.Send(1, TagReduce, []float64{2})
 	b.Recv(0, TagReduce)
 
@@ -79,8 +79,8 @@ func TestEndpointTraceSink(t *testing.T) {
 	a.SetTraceStep(3)
 	b.SetTraceStep(3)
 	for i := 0; i < 2; i++ {
-		a.Send(1, TagForceX, []float64{float64(i), 0})
-		b.Recv(0, TagForceX)
+		a.Send(1, TagForces, []float64{float64(i), 0})
+		b.Recv(0, TagForces)
 	}
 
 	sa.mu.Lock()
@@ -98,7 +98,7 @@ func TestEndpointTraceSink(t *testing.T) {
 		if s.seq != uint64(i) || r.seq != uint64(i) {
 			t.Errorf("message %d: ordinals (%d, %d), want %d on both sides", i, s.seq, r.seq, i)
 		}
-		if s.peer != 1 || r.peer != 0 || s.tag != TagForceX || r.tag != TagForceX {
+		if s.peer != 1 || r.peer != 0 || s.tag != TagForces || r.tag != TagForces {
 			t.Errorf("message %d: endpoints disagree: send %+v recv %+v", i, s, r)
 		}
 		if s.step != 3 || r.step != 3 {

@@ -80,13 +80,6 @@ type Config struct {
 	// exact, so the fold order cannot change the value.
 	TreeReduce bool
 
-	// Coalesce packs each step's per-peer boundary slabs into one frame
-	// per (peer, direction): the three force planes travel as a single
-	// TagForces message and the three gradient planes as a single
-	// TagDelv message, cutting the hot path's message count (and wire
-	// frames, each with a 40-byte header and its own syscall) 3×.
-	Coalesce bool
-
 	// ThreadsPerRank enables hybrid "MPI+X" execution: each rank
 	// parallelizes its loops over a fork-join team of this size
 	// (<= 1 = serial per rank, the MPI-everywhere model). Results are
@@ -155,6 +148,21 @@ func DefaultConfig(size, ranks int) Config {
 // faultTolerant reports whether the run needs the fault-tolerant fabric.
 func (cfg Config) faultTolerant() bool {
 	return cfg.Faults.Active() || cfg.ExchangeDeadline > 0
+}
+
+// Schedule names the exchange schedule with its overlap toggles: "sync"
+// or "async", plus "+tree" with the binomial-tree dt reduction. The CSV
+// schedule column, the verifier's output and the wire handshake all use
+// this one name.
+func (cfg Config) Schedule() string {
+	s := "sync"
+	if cfg.Async {
+		s = "async"
+	}
+	if cfg.TreeReduce {
+		s += "+tree"
+	}
+	return s
 }
 
 // RankStats reports one rank's communication behaviour.
@@ -430,13 +438,12 @@ type rank struct {
 	flag   kernels.Flag
 	async  bool
 
-	// Overlap machinery: the dt-reduction topology and slab-coalescing
-	// toggles, the boundary/interior classification of both index spaces,
-	// and the symmetry-plane node lists and region element lists pre-split
-	// along the same seam (so the overlapped schedule's split loops visit
+	// Overlap machinery: the dt-reduction topology toggle, the
+	// boundary/interior classification of both index spaces, and the
+	// symmetry-plane node lists and region element lists pre-split along
+	// the same seam (so the overlapped schedule's split loops visit
 	// exactly the original elements).
 	treeReduce             bool
-	coalesce               bool
 	nodePlan               domain.OverlapPlan
 	elemPlan               domain.OverlapPlan
 	symmXB, symmYB, symmZB []int32   // boundary-plane sublists
@@ -475,10 +482,10 @@ type rank struct {
 	planeN int // nodes per z-plane
 	planeE int // elements per z-plane
 
-	// Packing buffers for plane exchanges; packCoal is the coalesced
-	// triple-plane frame (Coalesce mode).
-	packX, packY, packZ []float64
-	packCoal            []float64
+	// The boundary exchanges — init-time nodal mass, per-step forces and
+	// gradients — and the one frame buffer they all pack into.
+	mass, forces, grads halo
+	pack                []float64
 
 	stepTime time.Duration
 
@@ -559,16 +566,18 @@ func newRankWith(cfg Config, cluster *comm.Cluster, id int, d *domain.Domain) *r
 		planeN:  (cfg.Nx + 1) * (cfg.Ny + 1),
 		planeE:  cfg.Nx * cfg.Ny,
 	}
-	r.packX = make([]float64, r.planeN)
-	r.packY = make([]float64, r.planeN)
-	r.packZ = make([]float64, r.planeN)
 	r.treeReduce = cfg.TreeReduce
-	r.coalesce = cfg.Coalesce
-	if cfg.Coalesce {
-		// One buffer serves both coalesced exchanges: the force frame is
-		// 3·planeN wide, the gradient frame 3·planeE (< 3·planeN).
-		r.packCoal = make([]float64, 3*r.planeN)
-	}
+	upperN := d.NumNode() - r.planeN
+	r.mass = halo{tag: comm.TagNodalMass, fields: [][]float64{d.NodalMass},
+		n: r.planeN, sendHi: upperN, recvHi: upperN, sum: true}
+	r.forces = halo{tag: comm.TagForces, fields: [][]float64{d.Fx, d.Fy, d.Fz},
+		n: r.planeN, sendHi: upperN, recvHi: upperN, sum: true}
+	r.grads = halo{tag: comm.TagDelv, fields: [][]float64{d.DelvXi, d.DelvEta, d.DelvZeta},
+		n: r.planeE, sendHi: ne - r.planeE,
+		recvLo: d.Mesh.GhostZMin, recvHi: d.Mesh.GhostZMax}
+	// The force frame (3·planeN) is the widest; the gradient frame is
+	// 3·planeE < 3·planeN.
+	r.pack = make([]float64, 3*r.planeN)
 	// The boundary-first classification is cheap enough to build
 	// unconditionally; only the overlapped schedule consumes it.
 	nn := d.NumNode()
@@ -640,41 +649,11 @@ func (r *rank) close() {
 func (r *rank) hasLower() bool { return r.id > 0 }
 func (r *rank) hasUpper() bool { return r.id < r.cfg.Ranks-1 }
 
-// lowerNodeBase / upperNodeBase index the shared node planes.
-func (r *rank) lowerNodeBase() int { return 0 }
-func (r *rank) upperNodeBase() int { return r.d.NumNode() - r.planeN }
-
 // exchangeNodalMass sums the shared-plane nodal masses across neighbour
 // ranks during initialization (both owners end up with the global value).
 func (r *rank) exchangeNodalMass() error {
-	if r.hasLower() {
-		copy(r.packX, r.d.NodalMass[:r.planeN])
-		r.ep.Send(r.id-1, comm.TagNodalMass, r.packX)
-	}
-	if r.hasUpper() {
-		copy(r.packX, r.d.NodalMass[r.upperNodeBase():])
-		r.ep.Send(r.id+1, comm.TagNodalMass, r.packX)
-	}
-	if r.hasLower() {
-		theirs, err := r.ep.RecvDeadline(r.id-1, comm.TagNodalMass)
-		if err != nil {
-			return err
-		}
-		for i, v := range theirs {
-			r.d.NodalMass[i] += v
-		}
-	}
-	if r.hasUpper() {
-		theirs, err := r.ep.RecvDeadline(r.id+1, comm.TagNodalMass)
-		if err != nil {
-			return err
-		}
-		base := r.upperNodeBase()
-		for i, v := range theirs {
-			r.d.NodalMass[base+i] += v
-		}
-	}
-	return nil
+	r.sendHalo(&r.mass)
+	return r.recvHalo(&r.mass)
 }
 
 // run drives the leapfrog to the stop time (or the iteration cap). All

@@ -42,9 +42,8 @@ func sameDomains(t *testing.T, label string, a, b []*domain.Domain) {
 	}
 }
 
-// TestOverlapToggleMatrixBitwise: every combination of the three overlap
-// toggles — boundary-first schedule, tree allreduce, coalesced frames —
-// must reproduce the synchronous baseline bit for bit, in every state
+// TestOverlapToggleMatrixBitwise: every combination of the two overlap
+// toggles — boundary-first schedule, tree allreduce — must reproduce the synchronous baseline bit for bit, in every state
 // array of every rank.
 func TestOverlapToggleMatrixBitwise(t *testing.T) {
 	const s = 4
@@ -56,23 +55,11 @@ func TestOverlapToggleMatrixBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for mask := 1; mask < 8; mask++ {
+	for mask := 1; mask < 4; mask++ {
 		cfg := base
 		cfg.Async = mask&1 != 0
 		cfg.TreeReduce = mask&2 != 0
-		cfg.Coalesce = mask&4 != 0
-		label := ""
-		for _, f := range []struct {
-			on   bool
-			name string
-		}{{cfg.Async, "async"}, {cfg.TreeReduce, "tree"}, {cfg.Coalesce, "coalesce"}} {
-			if f.on {
-				if label != "" {
-					label += "+"
-				}
-				label += f.name
-			}
-		}
+		label := cfg.Schedule()
 		res, doms, err := RunDomains(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -104,7 +91,6 @@ func TestOverlapThinSlabDegenerate(t *testing.T) {
 	over := base
 	over.Async = true
 	over.TreeReduce = true
-	over.Coalesce = true
 	_, doms, err := RunDomains(over)
 	if err != nil {
 		t.Fatal(err)
@@ -113,11 +99,11 @@ func TestOverlapThinSlabDegenerate(t *testing.T) {
 }
 
 // TestTreeReduceMessageCounts pins down the point of the binomial tree:
-// rank 0 handles ⌈log2 n⌉ reduction messages per step instead of n−1,
-// and coalescing cuts the per-peer ghost frames from six to two. The
-// in-process fabric makes the counts exact: per cycle rank 0 (one
-// neighbour) sends 3 force + 3 gradient planes plus its reduction
-// traffic, and the only other message is the init-time nodal-mass send.
+// rank 0 handles ⌈log2 n⌉ reduction messages per step instead of n−1.
+// The in-process fabric makes the counts exact: per cycle rank 0 (one
+// neighbour) sends one force frame and one gradient frame plus its
+// reduction traffic, and the only other message is the init-time
+// nodal-mass send.
 func TestTreeReduceMessageCounts(t *testing.T) {
 	const ranks = 8
 	base := Config{
@@ -136,25 +122,18 @@ func TestTreeReduceMessageCounts(t *testing.T) {
 	tree := base
 	tree.TreeReduce = true
 	treeSent, treeIters := sent(tree)
-	both := tree
-	both.Coalesce = true
-	bothSent, bothIters := sent(both)
 
-	if linIters != treeIters || linIters != bothIters {
-		t.Fatalf("iteration counts diverged: %d/%d/%d", linIters, treeIters, bothIters)
+	if linIters != treeIters {
+		t.Fatalf("iteration counts diverged: %d/%d", linIters, treeIters)
 	}
 	n := int64(linIters)
-	// Linear: 6 ghost sends + 7 broadcast fan-out sends per cycle, plus
+	// Linear: 2 ghost frames + 7 broadcast fan-out sends per cycle, plus
 	// the nodal-mass send. Tree: the fan-out drops to log2(8) = 3.
-	// Coalesced: the 6 ghost sends become 2.
-	if want := 1 + n*(6+ranks-1); linSent != want {
+	if want := 1 + n*(2+ranks-1); linSent != want {
 		t.Errorf("linear rank-0 sends: %d, want %d", linSent, want)
 	}
-	if want := 1 + n*(6+3); treeSent != want {
+	if want := 1 + n*(2+3); treeSent != want {
 		t.Errorf("tree rank-0 sends: %d, want %d", treeSent, want)
-	}
-	if want := 1 + n*(2+3); bothSent != want {
-		t.Errorf("tree+coalesce rank-0 sends: %d, want %d", bothSent, want)
 	}
 }
 

@@ -11,21 +11,28 @@ import (
 // operate on index ranges so the overlapped schedule can run boundary
 // planes first; both schedules execute the same arithmetic per datum.
 
-// join is the continuation seam of the overlapped schedule: a pending
-// receive whose completion gates exactly the work that depends on remote
+// join is the continuation seam of the overlapped schedule: a posted
+// exchange whose receive gates exactly the work that depends on remote
 // data. Then blocks on the receive and runs the dependent continuation —
 // the single-goroutine-per-rank analogue of the paper's future.then()
 // chaining (an endpoint is not safe for concurrent use, so the overlap is
 // schedule-driven: everything before Then already ran while the messages
 // were in flight).
 type join struct {
-	wait func() error
+	r *rank
+	h *halo
+}
+
+// post sends h's boundary planes and returns the join on their receive.
+func (r *rank) post(h *halo) join {
+	r.sendHalo(h)
+	return join{r, h}
 }
 
 // Then completes the join: wait for the remote data, then run the
 // dependent work.
 func (j join) Then(cont func()) error {
-	if err := j.wait(); err != nil {
+	if err := j.r.recvHalo(j.h); err != nil {
 		return err
 	}
 	cont()
@@ -63,145 +70,71 @@ func (r *rank) gatherForces(lo, hi int) {
 	})
 }
 
-// sendBoundaryForces transmits the shared-plane nodal forces to the
-// neighbours (LULESH's CommSend for the SBN phase).
-func (r *rank) sendBoundaryForces() {
-	d := r.d
+// halo is one boundary exchange. Like LULESH's CommSend, every field of
+// a face travels in one frame per peer: the n-wide planes of each field
+// are packed back to back (Fx|Fy|Fz, DelvXi|DelvEta|DelvZeta). The planes
+// sent to the lower peer start at index 0, those sent to the upper peer
+// at sendHi; recvLo and recvHi are the slots the lower and upper peer's
+// frame lands in — summed into shared node planes (CommSBN) or copied
+// into ghost element slots (CommMonoQ).
+type halo struct {
+	tag            comm.Tag
+	fields         [][]float64
+	n              int
+	sendHi         int
+	recvLo, recvHi int
+	sum            bool
+}
+
+// sendHalo packs h's planes into one frame per neighbour and sends it.
+func (r *rank) sendHalo(h *halo) {
+	pack := func(base int) []float64 {
+		frame := r.pack[:len(h.fields)*h.n]
+		for k, f := range h.fields {
+			copy(frame[k*h.n:(k+1)*h.n], f[base:base+h.n])
+		}
+		return frame
+	}
 	if r.hasLower() {
-		copy(r.packX, d.Fx[:r.planeN])
-		copy(r.packY, d.Fy[:r.planeN])
-		copy(r.packZ, d.Fz[:r.planeN])
-		r.ep.Send(r.id-1, comm.TagForceX, r.packX)
-		r.ep.Send(r.id-1, comm.TagForceY, r.packY)
-		r.ep.Send(r.id-1, comm.TagForceZ, r.packZ)
+		r.ep.Send(r.id-1, h.tag, pack(0))
 	}
 	if r.hasUpper() {
-		base := r.upperNodeBase()
-		copy(r.packX, d.Fx[base:])
-		copy(r.packY, d.Fy[base:])
-		copy(r.packZ, d.Fz[base:])
-		r.ep.Send(r.id+1, comm.TagForceX, r.packX)
-		r.ep.Send(r.id+1, comm.TagForceY, r.packY)
-		r.ep.Send(r.id+1, comm.TagForceZ, r.packZ)
+		r.ep.Send(r.id+1, h.tag, pack(h.sendHi))
 	}
 }
 
-// recvBoundaryForces receives the neighbours' shared-plane forces and sums
-// them into the local planes (LULESH's CommSBN: sum boundary nodes). On
-// the fault-tolerant fabric each receive runs under the exchange deadline;
-// a peer that stays silent past the retry budget surfaces as an error.
-func (r *rank) recvBoundaryForces() error {
-	d := r.d
-	if r.hasLower() {
-		fx, err := r.ep.RecvDeadline(r.id-1, comm.TagForceX)
-		if err != nil {
-			return err
-		}
-		fy, err := r.ep.RecvDeadline(r.id-1, comm.TagForceY)
-		if err != nil {
-			return err
-		}
-		fz, err := r.ep.RecvDeadline(r.id-1, comm.TagForceZ)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < r.planeN; i++ {
-			d.Fx[i] += fx[i]
-			d.Fy[i] += fy[i]
-			d.Fz[i] += fz[i]
-		}
-	}
-	if r.hasUpper() {
-		base := r.upperNodeBase()
-		fx, err := r.ep.RecvDeadline(r.id+1, comm.TagForceX)
-		if err != nil {
-			return err
-		}
-		fy, err := r.ep.RecvDeadline(r.id+1, comm.TagForceY)
-		if err != nil {
-			return err
-		}
-		fz, err := r.ep.RecvDeadline(r.id+1, comm.TagForceZ)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < r.planeN; i++ {
-			d.Fx[base+i] += fx[i]
-			d.Fy[base+i] += fy[i]
-			d.Fz[base+i] += fz[i]
-		}
-	}
-	return nil
-}
-
-// sendBoundaryForcesCoalesced is sendBoundaryForces with the three force
-// planes packed into a single Fx|Fy|Fz frame per peer (TagForces): one
-// message per (peer, direction) instead of three.
-func (r *rank) sendBoundaryForcesCoalesced() {
-	d := r.d
-	pn := r.planeN
-	pack := func(base int) {
-		copy(r.packCoal[0:pn], d.Fx[base:base+pn])
-		copy(r.packCoal[pn:2*pn], d.Fy[base:base+pn])
-		copy(r.packCoal[2*pn:3*pn], d.Fz[base:base+pn])
-	}
-	if r.hasLower() {
-		pack(0)
-		r.ep.Send(r.id-1, comm.TagForces, r.packCoal)
-	}
-	if r.hasUpper() {
-		pack(r.upperNodeBase())
-		r.ep.Send(r.id+1, comm.TagForces, r.packCoal)
-	}
-}
-
-// recvBoundaryForcesCoalesced receives one TagForces frame per peer and
-// sums the three packed planes into the local boundary nodes. The sum
-// order per node is identical to the three-message path, so the schedules
-// stay bitwise-comparable.
-func (r *rank) recvBoundaryForcesCoalesced() error {
-	d := r.d
-	pn := r.planeN
+// recvHalo receives one frame per neighbour and unpacks it into h's
+// landing slots, under the exchange deadline on the fault-tolerant
+// fabric (a peer that stays silent past the retry budget surfaces as an
+// error). Each slot takes exactly one add or copy, so the result does not
+// depend on the unpacking order.
+func (r *rank) recvHalo(h *halo) error {
 	unpack := func(peer, base int) error {
-		f, err := r.ep.RecvDeadline(peer, comm.TagForces)
+		frame, err := r.ep.RecvDeadline(peer, h.tag)
 		if err != nil {
 			return err
 		}
-		for i := 0; i < pn; i++ {
-			d.Fx[base+i] += f[i]
-			d.Fy[base+i] += f[pn+i]
-			d.Fz[base+i] += f[2*pn+i]
+		for k, f := range h.fields {
+			src, dst := frame[k*h.n:(k+1)*h.n], f[base:base+h.n]
+			if !h.sum {
+				copy(dst, src)
+				continue
+			}
+			for i, v := range src {
+				dst[i] += v
+			}
 		}
 		return nil
 	}
 	if r.hasLower() {
-		if err := unpack(r.id-1, 0); err != nil {
+		if err := unpack(r.id-1, h.recvLo); err != nil {
 			return err
 		}
 	}
 	if r.hasUpper() {
-		if err := unpack(r.id+1, r.upperNodeBase()); err != nil {
-			return err
-		}
+		return unpack(r.id+1, h.recvHi)
 	}
 	return nil
-}
-
-// sendForces / recvForces dispatch the force exchange to the configured
-// framing (per-axis messages, or one coalesced frame per peer).
-func (r *rank) sendForces() {
-	if r.coalesce {
-		r.sendBoundaryForcesCoalesced()
-		return
-	}
-	r.sendBoundaryForces()
-}
-
-func (r *rank) recvForces() error {
-	if r.coalesce {
-		return r.recvBoundaryForcesCoalesced()
-	}
-	return r.recvBoundaryForces()
 }
 
 // nodalUpdate integrates acceleration, boundary conditions, velocity and
@@ -268,134 +201,6 @@ func (r *rank) kinematicsRange(lo, hi int) {
 		kernels.CalcStrainRate(d, a, b, &r.flag)
 		kernels.MonoQGradients(d, a, b)
 	})
-}
-
-// sendBoundaryGradients transmits the boundary element planes' delv
-// gradients (LULESH's CommMonoQ).
-func (r *rank) sendBoundaryGradients() {
-	d := r.d
-	ne := d.NumElem()
-	if r.hasLower() {
-		r.ep.Send(r.id-1, comm.TagDelvXi, d.DelvXi[:r.planeE])
-		r.ep.Send(r.id-1, comm.TagDelvEta, d.DelvEta[:r.planeE])
-		r.ep.Send(r.id-1, comm.TagDelvZeta, d.DelvZeta[:r.planeE])
-	}
-	if r.hasUpper() {
-		base := ne - r.planeE
-		r.ep.Send(r.id+1, comm.TagDelvXi, d.DelvXi[base:ne])
-		r.ep.Send(r.id+1, comm.TagDelvEta, d.DelvEta[base:ne])
-		r.ep.Send(r.id+1, comm.TagDelvZeta, d.DelvZeta[base:ne])
-	}
-}
-
-// recvBoundaryGradients fills the ghost gradient slots with the
-// neighbours' boundary planes, under the exchange deadline on the
-// fault-tolerant fabric.
-func (r *rank) recvBoundaryGradients() error {
-	d := r.d
-	m := d.Mesh
-	if r.hasLower() {
-		xi, err := r.ep.RecvDeadline(r.id-1, comm.TagDelvXi)
-		if err != nil {
-			return err
-		}
-		eta, err := r.ep.RecvDeadline(r.id-1, comm.TagDelvEta)
-		if err != nil {
-			return err
-		}
-		zeta, err := r.ep.RecvDeadline(r.id-1, comm.TagDelvZeta)
-		if err != nil {
-			return err
-		}
-		copy(d.DelvXi[m.GhostZMin:m.GhostZMin+r.planeE], xi)
-		copy(d.DelvEta[m.GhostZMin:m.GhostZMin+r.planeE], eta)
-		copy(d.DelvZeta[m.GhostZMin:m.GhostZMin+r.planeE], zeta)
-	}
-	if r.hasUpper() {
-		xi, err := r.ep.RecvDeadline(r.id+1, comm.TagDelvXi)
-		if err != nil {
-			return err
-		}
-		eta, err := r.ep.RecvDeadline(r.id+1, comm.TagDelvEta)
-		if err != nil {
-			return err
-		}
-		zeta, err := r.ep.RecvDeadline(r.id+1, comm.TagDelvZeta)
-		if err != nil {
-			return err
-		}
-		copy(d.DelvXi[m.GhostZMax:m.GhostZMax+r.planeE], xi)
-		copy(d.DelvEta[m.GhostZMax:m.GhostZMax+r.planeE], eta)
-		copy(d.DelvZeta[m.GhostZMax:m.GhostZMax+r.planeE], zeta)
-	}
-	return nil
-}
-
-// sendBoundaryGradientsCoalesced packs the three gradient planes into a
-// single DelvXi|DelvEta|DelvZeta frame per peer (TagDelv).
-func (r *rank) sendBoundaryGradientsCoalesced() {
-	d := r.d
-	ne := d.NumElem()
-	pe := r.planeE
-	pack := func(base int) []float64 {
-		frame := r.packCoal[:3*pe]
-		copy(frame[0:pe], d.DelvXi[base:base+pe])
-		copy(frame[pe:2*pe], d.DelvEta[base:base+pe])
-		copy(frame[2*pe:3*pe], d.DelvZeta[base:base+pe])
-		return frame
-	}
-	if r.hasLower() {
-		r.ep.Send(r.id-1, comm.TagDelv, pack(0))
-	}
-	if r.hasUpper() {
-		r.ep.Send(r.id+1, comm.TagDelv, pack(ne-pe))
-	}
-}
-
-// recvBoundaryGradientsCoalesced receives one TagDelv frame per peer and
-// scatters the packed planes into the ghost gradient slots.
-func (r *rank) recvBoundaryGradientsCoalesced() error {
-	d := r.d
-	m := d.Mesh
-	pe := r.planeE
-	unpack := func(peer, ghost int) error {
-		g, err := r.ep.RecvDeadline(peer, comm.TagDelv)
-		if err != nil {
-			return err
-		}
-		copy(d.DelvXi[ghost:ghost+pe], g[0:pe])
-		copy(d.DelvEta[ghost:ghost+pe], g[pe:2*pe])
-		copy(d.DelvZeta[ghost:ghost+pe], g[2*pe:3*pe])
-		return nil
-	}
-	if r.hasLower() {
-		if err := unpack(r.id-1, m.GhostZMin); err != nil {
-			return err
-		}
-	}
-	if r.hasUpper() {
-		if err := unpack(r.id+1, m.GhostZMax); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendGradients / recvGradients dispatch the gradient exchange to the
-// configured framing.
-func (r *rank) sendGradients() {
-	if r.coalesce {
-		r.sendBoundaryGradientsCoalesced()
-		return
-	}
-	r.sendBoundaryGradients()
-}
-
-func (r *rank) recvGradients() error {
-	if r.coalesce {
-		return r.recvBoundaryGradientsCoalesced()
-	}
-	return r.recvBoundaryGradients()
 }
 
 // materialsAndConstraints runs the region Q, EOS, volume commit and local
@@ -518,16 +323,16 @@ func (r *rank) stepSynchronous() error {
 	r.rangeBlock(0, nn, func(a, b int) { kernels.ZeroForces(d, a, b) })
 	r.computeForces(0, ne)
 	r.gatherForces(0, nn)
-	r.sendForces()
-	if err := r.recvForces(); err != nil { // blocking phase boundary
+	r.sendHalo(&r.forces)
+	if err := r.recvHalo(&r.forces); err != nil { // blocking phase boundary
 		return err
 	}
 	r.nodalUpdate()
 
 	// LagrangeElements.
 	r.kinematicsRange(0, ne)
-	r.sendGradients()
-	if err := r.recvGradients(); err != nil { // blocking phase boundary
+	r.sendHalo(&r.grads)
+	if err := r.recvHalo(&r.grads); err != nil { // blocking phase boundary
 		return err
 	}
 
@@ -566,8 +371,7 @@ func (r *rank) stepOverlapped() error {
 	for _, s := range r.nodePlan.Boundary {
 		r.gatherForces(s.Lo, s.Hi)
 	}
-	r.sendForces()
-	forces := join{wait: r.recvForces}
+	forces := r.post(&r.forces)
 
 	// Interior force work and the full interior nodal chain overlap the
 	// force frames.
@@ -589,8 +393,7 @@ func (r *rank) stepOverlapped() error {
 	for _, s := range r.elemPlan.Boundary {
 		r.kinematicsRange(s.Lo, s.Hi)
 	}
-	r.sendGradients()
-	grads := join{wait: r.recvGradients}
+	grads := r.post(&r.grads)
 
 	if s := r.elemPlan.Interior; !s.Empty() {
 		r.kinematicsRange(s.Lo, s.Hi)

@@ -105,20 +105,10 @@ func RunWire(cfg Config, w WireOptions) (Result, error) {
 		tr = comm.NewDelay(cfg.Latency, tr)
 	}
 
-	// The schedule string participates in the wire handshake: every
+	// The schedule name participates in the wire handshake: every
 	// overlap toggle must match across the fabric, or a mixed run would
-	// deadlock on mismatched tags/topology — refusing at Join turns that
-	// into an immediate geometry error.
-	schedule := "sync"
-	if cfg.Async {
-		schedule = "async"
-	}
-	if cfg.TreeReduce {
-		schedule += "+tree"
-	}
-	if cfg.Coalesce {
-		schedule += "+coalesce"
-	}
+	// deadlock on a mismatched reduction topology — refusing at Join
+	// turns that into an immediate geometry error.
 	fab, err := wire.Join(wire.Config{
 		Rank:       w.Rank,
 		Size:       cfg.Ranks,
@@ -127,7 +117,7 @@ func RunWire(cfg Config, w WireOptions) (Result, error) {
 		Geometry: wire.Geometry{
 			Size:       cfg.Nx,
 			Iterations: cfg.MaxIterations,
-			Schedule:   schedule,
+			Schedule:   cfg.Schedule(),
 		},
 		Heartbeat:   w.Heartbeat,
 		PeerTimeout: w.PeerTimeout,

@@ -46,7 +46,7 @@ func baseSnapshot(skewNs int64) *FleetSnapshot {
 		Rank: 0, Ranks: 2,
 		Steps: []StepBucket{{Step: 1, StartNs: t0, WallNs: 10e6,
 			ComputeNs: 8e6, GhostNs: 2e6}},
-		Sends: []NetSpan{{Peer: 1, Tag: int(comm.TagDelvXi), Seq: 0, Step: 1,
+		Sends: []NetSpan{{Peer: 1, Tag: int(comm.TagDelv), Seq: 0, Step: 1,
 			TNs: t0 + 1e6, Bytes: 64}},
 	})
 	// Rank 1's clock runs skewNs behind rank 0's; its OffsetNs says so.
@@ -54,7 +54,7 @@ func baseSnapshot(skewNs int64) *FleetSnapshot {
 		Rank: 1, Ranks: 2, OffsetNs: skewNs, RTTNs: 50_000,
 		Steps: []StepBucket{{Step: 1, StartNs: t0 - skewNs, WallNs: 10e6,
 			ComputeNs: 7e6, GhostNs: 3e6}},
-		Recvs: []NetSpan{{Peer: 0, Tag: int(comm.TagDelvXi), Seq: 0, Step: 1,
+		Recvs: []NetSpan{{Peer: 0, Tag: int(comm.TagDelv), Seq: 0, Step: 1,
 			TNs: t0 - skewNs + 2e6, Bytes: 64, SendNs: t0 + 1e6}},
 	})
 	return fs
@@ -128,7 +128,7 @@ func TestFleetMergeDroppedSpans(t *testing.T) {
 	fs.Traces[0].Sends = append(fs.Traces[0].Sends, NetSpan{
 		Peer: 1, Tag: int(comm.TagReduce), Seq: 9, TNs: 2_000_000_000_000})
 	fs.Traces[1].Recvs = append(fs.Traces[1].Recvs, NetSpan{
-		Peer: 0, Tag: int(comm.TagForceX), Seq: 4, TNs: 2_000_000_000_000})
+		Peer: 0, Tag: int(comm.TagForces), Seq: 4, TNs: 2_000_000_000_000})
 
 	evs, st := renderTrace(t, fs)
 	if st.Flows != 0 {
@@ -171,7 +171,7 @@ func TestFleetMergeDeadRank(t *testing.T) {
 	fs.AddRank(base.Traces[1])
 	// Rank 2 never reported; rank 1's send to it dangles.
 	fs.Traces[1].Sends = append(fs.Traces[1].Sends, NetSpan{
-		Peer: 2, Tag: int(comm.TagForceY), Seq: 0, TNs: 1_000_000_500_000})
+		Peer: 2, Tag: int(comm.TagForces), Seq: 0, TNs: 1_000_000_500_000})
 
 	evs, st := renderTrace(t, fs)
 	if st.DeadRanks != 1 {
@@ -314,8 +314,8 @@ func TestBlobRoundTrip(t *testing.T) {
 func TestNetTracerCap(t *testing.T) {
 	tr := NewNetTracer(2)
 	for i := 0; i < 5; i++ {
-		tr.RecordSend(1, comm.TagForceX, uint64(i), 0, 8, time.Now())
-		tr.RecordRecv(1, comm.TagForceX, uint64(i), 0, 8, time.Now(), 0)
+		tr.RecordSend(1, comm.TagForces, uint64(i), 0, 8, time.Now())
+		tr.RecordRecv(1, comm.TagForces, uint64(i), 0, 8, time.Now(), 0)
 	}
 	var rt RankTrace
 	tr.Drain(&rt)

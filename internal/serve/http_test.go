@@ -124,13 +124,14 @@ func TestHTTPSubmitStatusResult(t *testing.T) {
 	}
 }
 
-// TestHTTPRetiredTogglesIgnored: JSON keys of scheduling toggles the
-// task backend no longer has are ignored like any unknown key, so old
-// clients still get 202.
+// TestHTTPRetiredTogglesIgnored: JSON keys of toggles the runtime no
+// longer has (the task backend's scheduling toggles, dist's ghost-frame
+// coalescing) are ignored like any unknown key, so old clients still get
+// 202.
 func TestHTTPRetiredTogglesIgnored(t *testing.T) {
 	_, srv := newTestServer(t, Config{Workers: 1})
 	resp, _ := postJob(t, srv,
-		`{"size":3,"iterations":2,"affinity":false,"batch_spawn":true,"adaptive_grain":true}`)
+		`{"size":3,"iterations":2,"affinity":false,"batch_spawn":true,"adaptive_grain":true,"coalesce":true}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit with retired toggle keys: status %d, want 202", resp.StatusCode)
 	}

@@ -72,10 +72,9 @@ type JobSpec struct {
 	ParallelRegions *bool `json:"parallel_regions,omitempty"`
 
 	// Distributed options (backend "dist" only).
-	Ranks    int  `json:"ranks,omitempty"`    // default 2
-	Async    bool `json:"async,omitempty"`    // overlapped exchange schedule
-	Coalesce bool `json:"coalesce,omitempty"` // coalesced ghost frames
-	Tree     bool `json:"tree,omitempty"`     // binomial-tree dt allreduce
+	Ranks int  `json:"ranks,omitempty"` // default 2
+	Async bool `json:"async,omitempty"` // overlapped exchange schedule
+	Tree  bool `json:"tree,omitempty"`  // binomial-tree dt allreduce
 	// Faults is a comm fault-injection profile ("drop=0.05,dup=0.02,...");
 	// validated at admission, applied with FaultSeed.
 	Faults    string `json:"faults,omitempty"`
@@ -685,7 +684,6 @@ func (m *Manager) runDistJob(j *Job) (perf.BenchRecord, error) {
 	cfg := dist.DefaultConfig(j.Spec.Size, j.Spec.Ranks)
 	cfg.Scenario = spec
 	cfg.Async = j.Spec.Async
-	cfg.Coalesce = j.Spec.Coalesce
 	cfg.TreeReduce = j.Spec.Tree
 	cfg.MaxIterations = j.Spec.Iterations
 	if j.Spec.Regions > 0 {

@@ -14,8 +14,9 @@ import (
 
 // protoVersion is bumped on any wire-format change; peers refuse to mix.
 // v2: 40-byte header carrying span context (send clock, step, phase) and
-// the ping/pong clock-probe frames.
-const protoVersion = 2
+// the ping/pong clock-probe frames. v3: the per-axis ghost tags are gone,
+// renumbering TagReduce, TagTrace, TagForces and TagDelv.
+const protoVersion = 3
 
 // Defaults for Config's zero durations.
 const (
@@ -30,7 +31,7 @@ const (
 type Geometry struct {
 	Size       int    // elements per domain edge
 	Iterations int    // timestep budget (0 = run to completion)
-	Schedule   string // "sync" or "async"
+	Schedule   string // dist.Config.Schedule(), e.g. "async+tree"
 }
 
 // Config describes one rank's view of the fabric to join.

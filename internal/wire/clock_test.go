@@ -84,8 +84,8 @@ func TestWireSpanContext(t *testing.T) {
 
 	before := time.Now().UnixNano()
 	fabs[0].SetStep(7)
-	eps[0].Send(1, comm.TagDelvXi, []float64{1, 2, 3})
-	got, err := eps[1].RecvDeadline(0, comm.TagDelvXi)
+	eps[0].Send(1, comm.TagDelv, []float64{1, 2, 3})
+	got, err := eps[1].RecvDeadline(0, comm.TagDelv)
 	if err != nil {
 		t.Fatalf("recv: %v", err)
 	}
@@ -102,7 +102,7 @@ func TestWireSpanContext(t *testing.T) {
 		return sinkSpan{}, false
 	}
 	sinks[0].mu.Lock()
-	snd, okS := find(sinks[0].sends, comm.TagDelvXi)
+	snd, okS := find(sinks[0].sends, comm.TagDelv)
 	sinks[0].mu.Unlock()
 	if !okS {
 		t.Fatal("sender recorded no send span")
@@ -112,7 +112,7 @@ func TestWireSpanContext(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		sinks[1].mu.Lock()
-		s, okR := find(sinks[1].recvs, comm.TagDelvXi)
+		s, okR := find(sinks[1].recvs, comm.TagDelv)
 		sinks[1].mu.Unlock()
 		if okR {
 			rcv = s

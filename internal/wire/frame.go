@@ -81,11 +81,7 @@ func phaseForTag(tag comm.Tag) byte {
 	switch {
 	case tag == comm.TagReduce:
 		return phaseReduce
-	case tag >= comm.TagNodalMass && tag <= comm.TagDelvZeta:
-		return phaseGhost
-	case tag == comm.TagForces || tag == comm.TagDelv:
-		// Coalesced per-peer boundary frames: still ghost-exchange traffic,
-		// just one frame per (peer, step) instead of three.
+	case tag == comm.TagNodalMass || tag == comm.TagForces || tag == comm.TagDelv:
 		return phaseGhost
 	}
 	return phaseOther

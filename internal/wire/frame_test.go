@@ -21,7 +21,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		{typ: frameData, payload: 0, delay: 3 * time.Millisecond},
 		{typ: frameData, payload: 8, delay: -1},
 		// Span context: the v2 header fields round-trip independently.
-		{typ: frameData, tag: comm.TagDelvXi, payload: 16,
+		{typ: frameData, tag: comm.TagDelv, payload: 16,
 			sendNs: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC).UnixNano(),
 			step:   123456, phase: phaseGhost},
 		{typ: frameData, payload: 8, sendNs: -1, phase: phaseReduce},
@@ -48,9 +48,7 @@ func TestPhaseForTag(t *testing.T) {
 	}{
 		{comm.TagReduce, phaseReduce},
 		{comm.TagNodalMass, phaseGhost},
-		{comm.TagForceX, phaseGhost},
-		{comm.TagDelvZeta, phaseGhost},
-		{comm.TagForces, phaseGhost}, // coalesced frames stay ghost-class
+		{comm.TagForces, phaseGhost},
 		{comm.TagDelv, phaseGhost},
 		{comm.TagTrace, phaseOther},
 		{comm.Tag(0), phaseOther},
