@@ -56,11 +56,13 @@ tracegate:
 	$(GO) run ./cmd/luleshbench -stall-report /tmp/lulesh-fleet.json
 
 # The chaos gate: fault injection, retry/backoff recovery, and
-# checkpoint-based restart must all hold under the race detector, and a
-# faulted end-to-end run must reproduce the unfaulted energies exactly.
+# checkpoint-based restart must all hold under the race detector, the
+# checkpoint reader must survive 10 s of fuzzing, and a faulted
+# end-to-end run must reproduce the unfaulted energies exactly.
 chaos:
 	$(GO) test -race -count=1 -run 'Fault|Crash|Corrupt|Recover|Checkpoint|Reorder|Duplicate|Deadline' \
 		./internal/comm/ ./internal/dist/ ./internal/checkpoint/
+	$(GO) test -run=NONE -fuzz=FuzzCheckpointLoad -fuzztime=10s ./internal/checkpoint/
 	$(GO) run ./cmd/lulesh -ranks 2 -s 8 -i 30 \
 		-faults drop=0.05,dup=0.02,crash=1@20 -fault-seed 9 \
 		-exchange-deadline 20ms -checkpoint-every 5

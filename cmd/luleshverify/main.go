@@ -147,42 +147,6 @@ func main() {
 		check(name, equalState(ref, got), fmt.Sprintf("e0=%.9e", got.E[0]))
 	}
 
-	// 1c. The slab field layout is memory-only: a domain built with the
-	// historical scalar layout (one allocation per field) must end bitwise
-	// identical to the slab-backed reference, on the serial and the task
-	// backend alike.
-	buildScalar := func() *domain.Domain {
-		d, err := domain.BuildScenario(spec, domain.BoxConfig{
-			Nx: *size, Ny: *size, Nz: *size,
-			NumReg: cfg.NumReg, Balance: cfg.Balance, Cost: cfg.Cost,
-			DepositEnergy: true,
-			FieldLayout:   domain.LayoutScalar,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-			os.Exit(1)
-		}
-		return d
-	}
-	runScalar := func(mk func(*domain.Domain) core.Backend) *domain.Domain {
-		d := buildScalar()
-		b := mk(d)
-		defer b.Close()
-		if _, err := core.Run(d, b, core.RunConfig{MaxIterations: *steps}); err != nil {
-			fmt.Fprintf(os.Stderr, "run failed: %v\n", err)
-			os.Exit(1)
-		}
-		return d
-	}
-	scalarSerial := runScalar(func(d *domain.Domain) core.Backend { return core.NewBackendSerial(d) })
-	check("layout A/B: scalar serial == slab serial", equalState(ref, scalarSerial),
-		fmt.Sprintf("layouts %s vs %s", scalarSerial.Layout, ref.Layout))
-	scalarTask := runScalar(func(d *domain.Domain) core.Backend {
-		return core.NewBackendTask(d, core.DefaultOptions(*size, threads))
-	})
-	check("layout A/B: scalar task == slab serial", equalState(ref, scalarTask),
-		fmt.Sprintf("e0=%.9e", scalarTask.E[0]))
-
 	// 2. Distributed schedules agree bitwise with each other: every
 	// combination of the overlap toggles — boundary-first scheduling and
 	// the binomial-tree allreduce — must leave every state array of every rank bit-for-bit equal to the plain

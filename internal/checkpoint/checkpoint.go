@@ -148,18 +148,76 @@ func capture(d *domain.Domain, cfg domain.BoxConfig) state {
 	}
 }
 
-// apply rebuilds a domain from captured state. The immutable topology and
-// boundary conditions come from replaying the recorded scenario through the
-// registry — not from a hardcoded constructor — so piston and multimat
-// checkpoints restore the face BCs and cost model they were built with.
+// counts derives the node, element and per-face ghost counts the
+// recorded configuration implies, without building anything. Dimensions
+// outside [1, 1<<20] are rejected up front, which also keeps the products
+// from overflowing.
+func counts(c domain.BoxConfig) (nn, ne, plane int, err error) {
+	const maxDim = 1 << 20
+	for _, n := range []int{c.Nx, c.Ny, c.Nz} {
+		if n < 1 || n > maxDim {
+			return 0, 0, 0, fmt.Errorf("%w: implausible box %dx%dx%d", ErrCorrupt, c.Nx, c.Ny, c.Nz)
+		}
+	}
+	return (c.Nx + 1) * (c.Ny + 1) * (c.Nz + 1), c.Nx * c.Ny * c.Nz, c.Nx * c.Ny, nil
+}
+
+// checkSizes verifies that every state array holds exactly as many
+// entries as the recorded configuration implies. apply runs it before it
+// rebuilds anything: a blob can then make Load allocate no more than a
+// domain the size of the arrays it actually carries (gob itself bounds a
+// decoded slice by the bytes present), and a short array can never
+// silently leave rebuilt initial values in place.
+func (st *state) checkSizes() error {
+	nn, ne, _, err := counts(st.Cfg)
+	if err != nil {
+		return err
+	}
+	for _, a := range [][]float64{st.X, st.Y, st.Z, st.Xd, st.Yd, st.Zd} {
+		if len(a) != nn {
+			return fmt.Errorf("%w: node array of %d entries, configuration has %d nodes", ErrCorrupt, len(a), nn)
+		}
+	}
+	for _, a := range [][]float64{st.E, st.P, st.Q, st.Ql, st.Qq, st.V, st.SS, st.Delv, st.Vdov, st.Arealg} {
+		if len(a) != ne {
+			return fmt.Errorf("%w: element array of %d entries, configuration has %d elements", ErrCorrupt, len(a), ne)
+		}
+	}
+	return nil
+}
+
+// checkSizes verifies the rank extras as well as the base state: nodal
+// masses for every node, and one ghost gradient plane per communicated
+// face.
+func (st *rankState) checkSizes() error {
+	if err := st.Base.checkSizes(); err != nil {
+		return err
+	}
+	nn, _, plane, _ := counts(st.Base.Cfg)
+	ghost := 0
+	for _, comm := range []bool{st.Base.Cfg.CommZMin, st.Base.Cfg.CommZMax} {
+		if comm {
+			ghost += plane
+		}
+	}
+	m := &st.Meta
+	if len(m.NodalMass) != nn || len(m.GhostDelvXi) != ghost ||
+		len(m.GhostDelvEta) != ghost || len(m.GhostDelvZeta) != ghost {
+		return fmt.Errorf("%w: rank extras do not match the recorded configuration", ErrCorrupt)
+	}
+	return nil
+}
+
+// apply rebuilds a domain from captured state whose sizes checkSizes has
+// verified. The immutable topology and boundary conditions come from
+// replaying the recorded scenario through the registry — not from a
+// hardcoded constructor — so piston and multimat checkpoints restore the
+// face BCs and cost model they were built with.
 func apply(st state) (*domain.Domain, error) {
 	d, err := domain.BuildScenario(st.Scenario, st.Cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuild scenario %q: %v",
 			ErrCorrupt, st.Scenario.String(), err)
-	}
-	if len(st.X) != d.NumNode() || len(st.E) != d.NumElem() {
-		return nil, fmt.Errorf("%w: array sizes do not match the recorded configuration", ErrCorrupt)
 	}
 	copy(d.X, st.X)
 	copy(d.Y, st.Y)
@@ -224,9 +282,16 @@ func readFrame(r io.Reader) ([]byte, error) {
 	if length > maxPayload {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+	// Read through a limit rather than allocating the claimed length up
+	// front: the buffer grows with the bytes actually present, so a
+	// header that lies about a huge payload costs nothing.
+	buf := bytes.NewBuffer(make([]byte, 0, min(length, 64<<10)))
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(length))); err != nil {
+		return nil, fmt.Errorf("%w: read payload: %v", ErrCorrupt, err)
+	}
+	payload := buf.Bytes()
+	if uint64(len(payload)) != length {
+		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, len(payload), length)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch (want %08x, got %08x)", ErrCorrupt, wantCRC, got)
@@ -264,6 +329,9 @@ func Load(r io.Reader) (*domain.Domain, error) {
 	}
 	if st.Magic != magic {
 		return nil, fmt.Errorf("checkpoint: bad magic %q", st.Magic)
+	}
+	if err := st.checkSizes(); err != nil {
+		return nil, err
 	}
 	return apply(st)
 }
@@ -308,17 +376,14 @@ func LoadRank(r io.Reader) (*domain.Domain, RankMeta, error) {
 	if st.Magic != rankMagic {
 		return nil, RankMeta{}, fmt.Errorf("checkpoint: bad rank magic %q", st.Magic)
 	}
+	if err := st.checkSizes(); err != nil {
+		return nil, RankMeta{}, err
+	}
 	d, err := apply(st.Base)
 	if err != nil {
 		return nil, RankMeta{}, err
 	}
 	ne := d.NumElem()
-	if len(st.Meta.NodalMass) != d.NumNode() ||
-		len(st.Meta.GhostDelvXi) != len(d.DelvXi[ne:]) ||
-		len(st.Meta.GhostDelvEta) != len(d.DelvEta[ne:]) ||
-		len(st.Meta.GhostDelvZeta) != len(d.DelvZeta[ne:]) {
-		return nil, RankMeta{}, fmt.Errorf("%w: rank extras do not match the recorded configuration", ErrCorrupt)
-	}
 	copy(d.NodalMass, st.Meta.NodalMass)
 	copy(d.DelvXi[ne:], st.Meta.GhostDelvXi)
 	copy(d.DelvEta[ne:], st.Meta.GhostDelvEta)

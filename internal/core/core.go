@@ -31,6 +31,17 @@ type Backend interface {
 	Close()
 }
 
+// SpanObserver receives one callback per executed task (AMT backends) or
+// per region body (fork-join backend), for feeding a trace.Recorder
+// timeline. Backends implementing TraceSource accept one.
+type SpanObserver = func(worker int, start time.Time, dur time.Duration)
+
+// TraceSource is implemented by backends whose runtime can report
+// execution spans.
+type TraceSource interface {
+	SetObserver(SpanObserver)
+}
+
 // TimeIncrement computes the next time step from the constraint minima and
 // advances the simulation clock, exactly as the reference's TimeIncrement.
 func TimeIncrement(d *domain.Domain) {

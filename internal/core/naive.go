@@ -14,8 +14,8 @@ import (
 // than the OpenMP reference, since grouped parallel regions are split into
 // individual loops — plus task-creation overhead on every loop.
 type BackendNaive struct {
-	s   *amt.Scheduler
-	buf *buffers
+	amtRuntime
+	ref *refRun
 }
 
 // NewBackendNaive creates the naive for_each backend with the given worker
@@ -25,7 +25,7 @@ func NewBackendNaive(d *domain.Domain, threads int) *BackendNaive {
 		threads = 1
 	}
 	s := amt.NewScheduler(amt.WithWorkers(threads))
-	return &BackendNaive{s: s, buf: newBuffers(d)}
+	return &BackendNaive{amtRuntime{s}, newRefRun(d)}
 }
 
 // grain mirrors a parallel-algorithm default chunker: about four chunks
@@ -40,228 +40,31 @@ func (b *BackendNaive) grain(n int) int {
 
 func (b *BackendNaive) Name() string { return "naive" }
 
-// Threads reports the worker count.
-func (b *BackendNaive) Threads() int { return b.s.Workers() }
-
-// Utilization reports the AMT scheduler's productive-time ratio.
-func (b *BackendNaive) Utilization() (float64, bool) {
-	return b.s.CountersSnapshot().Utilization(), true
-}
-
-// ResetCounters restarts utilization accounting.
-func (b *BackendNaive) ResetCounters() { b.s.ResetCounters() }
-
-// Close shuts the scheduler down.
-func (b *BackendNaive) Close() { b.s.Close() }
-
 // each runs body over [0, n) as a parallel for_each and blocks until done —
 // the naive port's universal idiom.
 func (b *BackendNaive) each(n int, body func(lo, hi int)) {
 	amt.ForEachBlock(b.s, 0, n, b.grain(n), body).Get()
 }
 
-// Step advances one leapfrog iteration, one barriered for_each per loop.
-func (b *BackendNaive) Step(d *domain.Domain) error {
-	buf := b.buf
-	buf.flag.Reset()
-	ne := d.NumElem()
-	nn := d.NumNode()
-	delt := d.Deltatime
-	p := &d.Par
+// Step advances one leapfrog iteration, one barriered for_each per
+// reference loop.
+func (b *BackendNaive) Step(d *domain.Domain) error { return b.ref.step(d, b) }
 
-	// --- LagrangeNodal -------------------------------------------------
-	b.s.SetPhase(PhaseForce)
-	b.each(nn, func(lo, hi int) { kernels.ZeroForces(d, lo, hi) })
-	b.each(ne, func(lo, hi int) {
-		kernels.InitStressTerms(d, buf.sigxx, buf.sigyy, buf.sigzz, lo, hi)
-	})
-	b.each(ne, func(lo, hi int) {
-		kernels.IntegrateStress(d, buf.sigxx, buf.sigyy, buf.sigzz, buf.determS,
-			buf.fxS, buf.fyS, buf.fzS, lo, hi)
-	})
-	b.each(nn, func(lo, hi int) {
-		kernels.GatherCornerForces(d, buf.fxS, buf.fyS, buf.fzS, lo, hi, false)
-	})
-	b.each(ne, func(lo, hi int) { kernels.CheckDeterm(buf.determS, lo, hi, &buf.flag) })
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
+func (b *BackendNaive) setPhase(ph uint32) { b.s.SetPhase(ph) }
 
-	b.each(ne, func(lo, hi int) {
-		kernels.HourglassPrep(d, buf.dvdx, buf.dvdy, buf.dvdz,
-			buf.x8n, buf.y8n, buf.z8n, buf.determH, 0, lo, hi, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-	if p.HGCoef > 0 {
-		b.each(ne, func(lo, hi int) {
-			kernels.FBHourglass(d, buf.dvdx, buf.dvdy, buf.dvdz,
-				buf.x8n, buf.y8n, buf.z8n, buf.determH, p.HGCoef, 0, lo, hi,
-				buf.fxH, buf.fyH, buf.fzH)
-		})
-		b.each(nn, func(lo, hi int) {
-			kernels.GatherCornerForces(d, buf.fxH, buf.fyH, buf.fzH, lo, hi, true)
-		})
-	}
-
-	b.s.SetPhase(PhaseNodal)
-	b.each(nn, func(lo, hi int) { kernels.CalcAcceleration(d, lo, hi) })
-	// The naive port splits the reference's single BC region into three
-	// separate barriered loops.
-	b.each(len(d.Mesh.SymmX), func(lo, hi int) {
-		kernels.ApplyAccelBCList(d, d.Mesh.SymmX, 0, lo, hi)
-	})
-	b.each(len(d.Mesh.SymmY), func(lo, hi int) {
-		kernels.ApplyAccelBCList(d, d.Mesh.SymmY, 1, lo, hi)
-	})
-	b.each(len(d.Mesh.SymmZ), func(lo, hi int) {
-		kernels.ApplyAccelBCList(d, d.Mesh.SymmZ, 2, lo, hi)
-	})
-	b.each(nn, func(lo, hi int) { kernels.CalcVelocity(d, delt, p.UCut, lo, hi) })
-	b.each(nn, func(lo, hi int) { kernels.CalcPosition(d, delt, lo, hi) })
-
-	// --- LagrangeElements ----------------------------------------------
-	b.s.SetPhase(PhaseElements)
-	b.each(ne, func(lo, hi int) { kernels.CalcKinematics(d, delt, lo, hi) })
-	b.each(ne, func(lo, hi int) { kernels.CalcStrainRate(d, lo, hi, &buf.flag) })
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	b.each(ne, func(lo, hi int) { kernels.MonoQGradients(d, lo, hi) })
-	for _, regList := range d.Regions.ElemList {
-		regList := regList
-		b.each(len(regList), func(lo, hi int) {
-			kernels.MonoQRegion(d, regList, lo, hi)
-		})
-	}
-	kernels.QStopCheck(d, 0, ne, &buf.flag)
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	// Four separate barriered loops where the reference uses one region.
-	b.s.SetPhase(PhaseRegions)
-	b.each(ne, func(lo, hi int) { kernels.CopyVnewc(d, buf.vnewc, lo, hi) })
-	if p.EOSvMin != 0 {
-		b.each(ne, func(lo, hi int) {
-			kernels.ClampVnewcLow(buf.vnewc, p.EOSvMin, lo, hi)
-		})
-	}
-	if p.EOSvMax != 0 {
-		b.each(ne, func(lo, hi int) {
-			kernels.ClampVnewcHigh(buf.vnewc, p.EOSvMax, lo, hi)
-		})
-	}
-	b.each(ne, func(lo, hi int) { kernels.CheckVBounds(d, lo, hi, &buf.flag) })
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	for r, regList := range d.Regions.ElemList {
-		b.evalEOSRegion(d, regList, d.Regions.Rep(r))
-	}
-	b.s.SetPhase(PhaseVolumes)
-	b.each(ne, func(lo, hi int) { kernels.UpdateVolumes(d, p.VCut, lo, hi) })
-
-	// --- CalcTimeConstraintsForElems ------------------------------------
-	b.s.SetPhase(PhaseConstraints)
-	d.Dtcourant = kernels.HugeDt
-	d.Dthydro = kernels.HugeDt
-	for _, regList := range d.Regions.ElemList {
-		regList := regList
-		count := len(regList)
-		grain := b.grain(count)
-		dtc := amt.Reduce(b.s, 0, count, grain, kernels.HugeDt,
-			func(acc float64, i int) float64 {
-				v := kernels.CourantConstraint(d, regList, i, i+1)
-				if v < acc {
-					return v
-				}
-				return acc
-			},
-			func(a, c float64) float64 {
-				if c < a {
-					return c
-				}
-				return a
-			}).Get()
-		if dtc < d.Dtcourant {
-			d.Dtcourant = dtc
-		}
-		dth := amt.Reduce(b.s, 0, count, grain, kernels.HugeDt,
-			func(acc float64, i int) float64 {
-				v := kernels.HydroConstraint(d, regList, i, i+1)
-				if v < acc {
-					return v
-				}
-				return acc
-			},
-			func(a, c float64) float64 {
-				if c < a {
-					return c
-				}
-				return a
-			}).Get()
-		if dth < d.Dthydro {
-			d.Dthydro = dth
+// group splits the reference's parallel region into one barriered loop
+// per member.
+func (b *BackendNaive) group(c *refRun, loops []loop) {
+	for i := range loops {
+		if l := &loops[i]; c.runs(l) {
+			b.each(l.over(c), func(lo, hi int) { l.body(c, lo, hi) })
 		}
 	}
-	b.s.SetPhase(PhaseOther)
-	return nil
 }
 
-// evalEOSRegion evaluates one region's EOS with a barrier after every loop.
-func (b *BackendNaive) evalEOSRegion(d *domain.Domain, regList []int32, rep int) {
-	buf := b.buf
-	p := &d.Par
-	count := len(regList)
-	s := buf.scratch
-	s.Ensure(count)
-
-	for j := 0; j < rep; j++ {
-		b.each(count, func(lo, hi int) { kernels.EOSGather(d, regList, s, lo, lo, hi) })
-		b.each(count, func(lo, hi int) {
-			kernels.EOSCompression(d, buf.vnewc, regList, s, lo, lo, hi)
-		})
-		if p.EOSvMin != 0 {
-			b.each(count, func(lo, hi int) {
-				kernels.EOSClampVMin(d, buf.vnewc, regList, s, p.EOSvMin, lo, lo, hi)
-			})
-		}
-		if p.EOSvMax != 0 {
-			b.each(count, func(lo, hi int) {
-				kernels.EOSClampVMax(d, buf.vnewc, regList, s, p.EOSvMax, lo, lo, hi)
-			})
-		}
-		b.each(count, func(lo, hi int) { kernels.EOSZeroWork(s, lo, lo, hi) })
-
-		b.each(count, func(lo, hi int) { kernels.EnergyStep1(s, p.Emin, lo, hi) })
-		b.each(count, func(lo, hi int) {
-			kernels.CalcPressure(s.PHalfStep, s.Bvc, s.Pbvc, s.ENew, s.CompHalfStep,
-				buf.vnewc, regList, 0, p.Pmin, p.PCut, p.EOSvMax, lo, hi)
-		})
-		b.each(count, func(lo, hi int) { kernels.EnergyStep2(s, p.RefDens, lo, hi) })
-		b.each(count, func(lo, hi int) { kernels.EnergyStep3(s, p.ECut, p.Emin, lo, hi) })
-		b.each(count, func(lo, hi int) {
-			kernels.CalcPressure(s.PNew, s.Bvc, s.Pbvc, s.ENew, s.Compression,
-				buf.vnewc, regList, 0, p.Pmin, p.PCut, p.EOSvMax, lo, hi)
-		})
-		b.each(count, func(lo, hi int) {
-			kernels.EnergyStep4(s, buf.vnewc, regList, 0, p.RefDens, p.ECut, p.Emin, lo, hi)
-		})
-		b.each(count, func(lo, hi int) {
-			kernels.CalcPressure(s.PNew, s.Bvc, s.Pbvc, s.ENew, s.Compression,
-				buf.vnewc, regList, 0, p.Pmin, p.PCut, p.EOSvMax, lo, hi)
-		})
-		b.each(count, func(lo, hi int) {
-			kernels.EnergyStep5(s, buf.vnewc, regList, 0, p.RefDens, p.QCut, lo, hi)
-		})
-	}
-
-	b.each(count, func(lo, hi int) { kernels.EOSStore(d, regList, s, lo, lo, hi) })
-	b.each(count, func(lo, hi int) {
-		kernels.CalcSoundSpeed(d, buf.vnewc, regList, s, lo, lo, hi)
-	})
+// min is one parallel reduce over the loop's indices.
+func (b *BackendNaive) min(n int, f func(lo, hi int) float64) float64 {
+	return amt.Reduce(b.s, 0, n, b.grain(n), kernels.HugeDt,
+		func(acc float64, i int) float64 { return lesser(acc, f(i, i+1)) },
+		lesser).Get()
 }

@@ -16,7 +16,7 @@ import (
 // a barrier) that the paper's task-based approach removes.
 type BackendOMP struct {
 	pool *omp.Pool
-	buf  *buffers
+	ref  *refRun
 
 	// schedule selects the loop worksharing policy (the reference uses
 	// static everywhere; dynamic/guided are provided to demonstrate that
@@ -24,8 +24,8 @@ type BackendOMP struct {
 	// imbalance the task backend exploits).
 	schedule Schedule
 
-	// Per-thread partial minima for the time-constraint reductions.
-	dtcPart, dthPart []float64
+	// Per-thread partial minima of the time-constraint reductions.
+	part []float64
 }
 
 // Schedule is an OpenMP loop-scheduling policy.
@@ -55,15 +55,14 @@ func NewBackendOMPSchedule(d *domain.Domain, threads int, sched Schedule) *Backe
 	p := omp.NewPool(threads)
 	return &BackendOMP{
 		pool:     p,
-		buf:      newBuffers(d),
+		ref:      newRefRun(d),
 		schedule: sched,
-		dtcPart:  make([]float64, p.Threads()),
-		dthPart:  make([]float64, p.Threads()),
+		part:     make([]float64, p.Threads()),
 	}
 }
 
-// forBlock dispatches one worksharing loop under the configured schedule.
-func (b *BackendOMP) forBlock(n int, body func(lo, hi int)) {
+// each dispatches one worksharing loop under the configured schedule.
+func (b *BackendOMP) each(n int, body func(lo, hi int)) {
 	switch b.schedule {
 	case ScheduleDynamic:
 		b.pool.ParallelForDynamic(n, dynChunk, body)
@@ -90,212 +89,40 @@ func (b *BackendOMP) ResetCounters() { b.pool.ResetCounters() }
 // Close stops the thread team.
 func (b *BackendOMP) Close() { b.pool.Close() }
 
+// SetObserver forwards spans from the fork-join team.
+func (b *BackendOMP) SetObserver(fn SpanObserver) { b.pool.SetObserver(fn) }
+
 // Step advances one leapfrog iteration with one fork-join construct per
-// reference loop.
-func (b *BackendOMP) Step(d *domain.Domain) error {
-	buf := b.buf
-	pool := b.pool
-	buf.flag.Reset()
-	ne := d.NumElem()
-	nn := d.NumNode()
-	delt := d.Deltatime
-	p := &d.Par
-	nth := pool.Threads()
+// reference loop or loop group. Each phase tag is published before its
+// loops dispatch; the region descriptor carries it to the team, so
+// per-phase tables line up with the task backend's.
+func (b *BackendOMP) Step(d *domain.Domain) error { return b.ref.step(d, b) }
 
-	// --- LagrangeNodal -------------------------------------------------
-	// Each kernel family publishes its phase tag before dispatching; the
-	// descriptor carries it to the team, so per-phase tables line up with
-	// the task backend's.
-	pool.SetPhase(PhaseForce)
-	b.forBlock(nn, func(lo, hi int) { kernels.ZeroForces(d, lo, hi) })
-	b.forBlock(ne, func(lo, hi int) {
-		kernels.InitStressTerms(d, buf.sigxx, buf.sigyy, buf.sigzz, lo, hi)
-	})
-	b.forBlock(ne, func(lo, hi int) {
-		kernels.IntegrateStress(d, buf.sigxx, buf.sigyy, buf.sigzz, buf.determS,
-			buf.fxS, buf.fyS, buf.fzS, lo, hi)
-	})
-	b.forBlock(nn, func(lo, hi int) {
-		kernels.GatherCornerForces(d, buf.fxS, buf.fyS, buf.fzS, lo, hi, false)
-	})
-	b.forBlock(ne, func(lo, hi int) {
-		kernels.CheckDeterm(buf.determS, lo, hi, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
+func (b *BackendOMP) setPhase(ph uint32) { b.pool.SetPhase(ph) }
 
-	b.forBlock(ne, func(lo, hi int) {
-		kernels.HourglassPrep(d, buf.dvdx, buf.dvdy, buf.dvdz,
-			buf.x8n, buf.y8n, buf.z8n, buf.determH, 0, lo, hi, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-	if p.HGCoef > 0 {
-		b.forBlock(ne, func(lo, hi int) {
-			kernels.FBHourglass(d, buf.dvdx, buf.dvdy, buf.dvdz,
-				buf.x8n, buf.y8n, buf.z8n, buf.determH, p.HGCoef, 0, lo, hi,
-				buf.fxH, buf.fyH, buf.fzH)
-		})
-		b.forBlock(nn, func(lo, hi int) {
-			kernels.GatherCornerForces(d, buf.fxH, buf.fyH, buf.fzH, lo, hi, true)
-		})
-	}
-
-	pool.SetPhase(PhaseNodal)
-	b.forBlock(nn, func(lo, hi int) { kernels.CalcAcceleration(d, lo, hi) })
-	// The three symmetry-plane loops share one parallel region in the
-	// reference (omp for nowait each).
-	pool.Parallel(func(tid int) {
-		lo, hi := omp.StaticRange(tid, nth, len(d.Mesh.SymmX))
-		kernels.ApplyAccelBCList(d, d.Mesh.SymmX, 0, lo, hi)
-		lo, hi = omp.StaticRange(tid, nth, len(d.Mesh.SymmY))
-		kernels.ApplyAccelBCList(d, d.Mesh.SymmY, 1, lo, hi)
-		lo, hi = omp.StaticRange(tid, nth, len(d.Mesh.SymmZ))
-		kernels.ApplyAccelBCList(d, d.Mesh.SymmZ, 2, lo, hi)
-	})
-	b.forBlock(nn, func(lo, hi int) {
-		kernels.CalcVelocity(d, delt, p.UCut, lo, hi)
-	})
-	b.forBlock(nn, func(lo, hi int) { kernels.CalcPosition(d, delt, lo, hi) })
-
-	// --- LagrangeElements ----------------------------------------------
-	pool.SetPhase(PhaseElements)
-	b.forBlock(ne, func(lo, hi int) { kernels.CalcKinematics(d, delt, lo, hi) })
-	b.forBlock(ne, func(lo, hi int) {
-		kernels.CalcStrainRate(d, lo, hi, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	b.forBlock(ne, func(lo, hi int) { kernels.MonoQGradients(d, lo, hi) })
-	for _, regList := range d.Regions.ElemList {
-		regList := regList
-		b.forBlock(len(regList), func(lo, hi int) {
-			kernels.MonoQRegion(d, regList, lo, hi)
-		})
-	}
-	// The qstop scan is serial in the reference.
-	kernels.QStopCheck(d, 0, ne, &buf.flag)
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	// vnewc preparation: one parallel region, index-aligned loops.
-	pool.ParallelStatic(ne, func(tid, lo, hi int) {
-		kernels.CopyVnewc(d, buf.vnewc, lo, hi)
-		if p.EOSvMin != 0 {
-			kernels.ClampVnewcLow(buf.vnewc, p.EOSvMin, lo, hi)
-		}
-		if p.EOSvMax != 0 {
-			kernels.ClampVnewcHigh(buf.vnewc, p.EOSvMax, lo, hi)
-		}
-		kernels.CheckVBounds(d, lo, hi, &buf.flag)
-	})
-	if err := buf.flag.Err(); err != nil {
-		return err
-	}
-
-	pool.SetPhase(PhaseRegions)
-	for r, regList := range d.Regions.ElemList {
-		b.evalEOSRegion(d, regList, d.Regions.Rep(r))
-	}
-	pool.SetPhase(PhaseVolumes)
-	b.forBlock(ne, func(lo, hi int) {
-		kernels.UpdateVolumes(d, p.VCut, lo, hi)
-	})
-
-	// --- CalcTimeConstraintsForElems ------------------------------------
-	pool.SetPhase(PhaseConstraints)
-	d.Dtcourant = kernels.HugeDt
-	d.Dthydro = kernels.HugeDt
-	for _, regList := range d.Regions.ElemList {
-		regList := regList
-		count := len(regList)
-		pool.ParallelStatic(count, func(tid, lo, hi int) {
-			b.dtcPart[tid] = kernels.CourantConstraint(d, regList, lo, hi)
-		})
-		for _, v := range b.dtcPart {
-			if v < d.Dtcourant {
-				d.Dtcourant = v
+// group runs a loop group as one parallel region of nowait loops, each
+// statically split over the team.
+func (b *BackendOMP) group(c *refRun, loops []loop) {
+	nth := b.pool.Threads()
+	b.pool.Parallel(func(tid int) {
+		for i := range loops {
+			l := &loops[i]
+			if !c.runs(l) {
+				continue
+			}
+			if lo, hi := omp.StaticRange(tid, nth, l.over(c)); lo < hi {
+				l.body(c, lo, hi)
 			}
 		}
-		pool.ParallelStatic(count, func(tid, lo, hi int) {
-			b.dthPart[tid] = kernels.HydroConstraint(d, regList, lo, hi)
-		})
-		for _, v := range b.dthPart {
-			if v < d.Dthydro {
-				d.Dthydro = v
-			}
-		}
-	}
-	pool.SetPhase(PhaseOther)
-	return nil
+	})
 }
 
-// evalEOSRegion evaluates the equation of state for one region with the
-// reference's loop-by-loop parallelization: one parallel region for the
-// compress/gather block, then one fork-join construct per energy loop.
-func (b *BackendOMP) evalEOSRegion(d *domain.Domain, regList []int32, rep int) {
-	buf := b.buf
-	pool := b.pool
-	p := &d.Par
-	count := len(regList)
-	s := buf.scratch
-	s.Ensure(count)
-
-	for j := 0; j < rep; j++ {
-		// Gather/compress block: one parallel region, nowait loops over
-		// identical index ranges.
-		pool.ParallelStatic(count, func(tid, lo, hi int) {
-			kernels.EOSGather(d, regList, s, lo, lo, hi)
-			kernels.EOSCompression(d, buf.vnewc, regList, s, lo, lo, hi)
-			if p.EOSvMin != 0 {
-				kernels.EOSClampVMin(d, buf.vnewc, regList, s, p.EOSvMin, lo, lo, hi)
-			}
-			if p.EOSvMax != 0 {
-				kernels.EOSClampVMax(d, buf.vnewc, regList, s, p.EOSvMax, lo, lo, hi)
-			}
-			kernels.EOSZeroWork(s, lo, lo, hi)
-		})
-
-		// CalcEnergyForElems: each loop is its own parallel-for in the
-		// reference.
-		b.forBlock(count, func(lo, hi int) {
-			kernels.EnergyStep1(s, p.Emin, lo, hi)
-		})
-		b.forBlock(count, func(lo, hi int) {
-			kernels.CalcPressure(s.PHalfStep, s.Bvc, s.Pbvc, s.ENew, s.CompHalfStep,
-				buf.vnewc, regList, 0, p.Pmin, p.PCut, p.EOSvMax, lo, hi)
-		})
-		b.forBlock(count, func(lo, hi int) {
-			kernels.EnergyStep2(s, p.RefDens, lo, hi)
-		})
-		b.forBlock(count, func(lo, hi int) {
-			kernels.EnergyStep3(s, p.ECut, p.Emin, lo, hi)
-		})
-		b.forBlock(count, func(lo, hi int) {
-			kernels.CalcPressure(s.PNew, s.Bvc, s.Pbvc, s.ENew, s.Compression,
-				buf.vnewc, regList, 0, p.Pmin, p.PCut, p.EOSvMax, lo, hi)
-		})
-		b.forBlock(count, func(lo, hi int) {
-			kernels.EnergyStep4(s, buf.vnewc, regList, 0, p.RefDens, p.ECut, p.Emin, lo, hi)
-		})
-		b.forBlock(count, func(lo, hi int) {
-			kernels.CalcPressure(s.PNew, s.Bvc, s.Pbvc, s.ENew, s.Compression,
-				buf.vnewc, regList, 0, p.Pmin, p.PCut, p.EOSvMax, lo, hi)
-		})
-		b.forBlock(count, func(lo, hi int) {
-			kernels.EnergyStep5(s, buf.vnewc, regList, 0, p.RefDens, p.QCut, lo, hi)
-		})
+// min reduces with one per-thread partial each, folded by the master.
+func (b *BackendOMP) min(n int, f func(lo, hi int) float64) float64 {
+	b.pool.ParallelStatic(n, func(tid, lo, hi int) { b.part[tid] = f(lo, hi) })
+	v := kernels.HugeDt
+	for _, p := range b.part {
+		v = lesser(v, p)
 	}
-
-	b.forBlock(count, func(lo, hi int) {
-		kernels.EOSStore(d, regList, s, lo, lo, hi)
-	})
-	b.forBlock(count, func(lo, hi int) {
-		kernels.CalcSoundSpeed(d, buf.vnewc, regList, s, lo, lo, hi)
-	})
+	return v
 }

@@ -48,16 +48,6 @@ func (b *BackendSerial) SetProfiler(p *perf.Profiler) {
 	b.prof = p
 }
 
-// SetProfiler attaches the profiler to the AMT scheduler's task sink.
-func (b *BackendTask) SetProfiler(p *perf.Profiler) {
-	if p == nil {
-		b.s.SetSink(nil)
-		return
-	}
-	registerPhases(p)
-	b.s.SetSink(p)
-}
-
 // SetProfiler attaches the profiler to the fork-join pool's region sink.
 func (b *BackendOMP) SetProfiler(p *perf.Profiler) {
 	if p == nil {
@@ -66,15 +56,4 @@ func (b *BackendOMP) SetProfiler(p *perf.Profiler) {
 	}
 	registerPhases(p)
 	b.pool.SetSink(p)
-}
-
-// SetProfiler attaches the profiler to the naive backend's scheduler. The
-// naive port phases its loops the same way, so its tables are comparable.
-func (b *BackendNaive) SetProfiler(p *perf.Profiler) {
-	if p == nil {
-		b.s.SetSink(nil)
-		return
-	}
-	registerPhases(p)
-	b.s.SetSink(p)
 }

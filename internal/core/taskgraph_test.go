@@ -81,5 +81,74 @@ func TestTaskGraphShapeStableAcrossRegions(t *testing.T) {
 			"the graph should stay nearly constant", base, grown)
 	}
 	// The fork-join model, by contrast, adds ~14 loops per extra region
-	// (verified implicitly by the Figure 10 benchmarks).
+	// (TestForkJoinShape).
+}
+
+// stepCount warms one step, resets the counters, runs one more step and
+// returns what count reports for it.
+func stepCount(t *testing.T, d *domain.Domain, b Backend, count func() int64) int64 {
+	t.Helper()
+	defer b.Close()
+	TimeIncrement(d)
+	if err := b.Step(d); err != nil {
+		t.Fatal(err)
+	}
+	b.ResetCounters()
+	TimeIncrement(d)
+	if err := b.Step(d); err != nil {
+		t.Fatal(err)
+	}
+	return count()
+}
+
+// TestTaskGraphShapeToggles pins the per-step task count of every
+// Chain×Fuse×ParallelForces×ParallelRegions combination (sedov size 6,
+// 2 workers: 4 element, 6 node and 9 region partitions). Fuse alone sets
+// the count — one task per family per partition, or one per step
+// unfused; the other three toggles only move edges.
+func TestTaskGraphShapeToggles(t *testing.T) {
+	for mask := 0; mask < 16; mask++ {
+		opt := DefaultOptions(6, 2)
+		opt.Chain = mask&1 != 0
+		opt.Fuse = mask&2 != 0
+		opt.ParallelForces = mask&4 != 0
+		opt.ParallelRegions = mask&8 != 0
+		want := int64(84)
+		if opt.Fuse {
+			want = 32
+		}
+		d := domain.NewSedov(domain.DefaultConfig(6))
+		b := NewBackendTask(d, opt)
+		if got := stepCount(t, d, b, func() int64 { return b.Counters().Tasks }); got != want {
+			t.Errorf("chain=%v fuse=%v pforces=%v pregions=%v: %d tasks per step, want %d",
+				opt.Chain, opt.Fuse, opt.ParallelForces, opt.ParallelRegions, got, want)
+		}
+	}
+}
+
+// TestForkJoinShape pins the fork-join baselines' per-step dispatch
+// counts on 2 threads: parallel regions for omp, executed tasks for
+// naive. Unlike the task graph, both grow with the region count — the
+// omp count by the per-region loops of monoQ, EOS and the constraints,
+// the naive count with how the chunker splits each region's loops.
+func TestForkJoinShape(t *testing.T) {
+	for _, tc := range []struct {
+		regions           int
+		ompRegions, naive int64
+	}{
+		{11, 387, 4919},
+		{21, 572, 2112},
+	} {
+		cfg := domain.Config{EdgeElems: 6, NumReg: tc.regions, Balance: 1, Cost: 1}
+		d := domain.NewSedov(cfg)
+		omp := NewBackendOMP(d, 2)
+		if got := stepCount(t, d, omp, func() int64 { return omp.pool.CountersSnapshot().Regions }); got != tc.ompRegions {
+			t.Errorf("omp, %d regions: %d parallel regions per step, want %d", tc.regions, got, tc.ompRegions)
+		}
+		d = domain.NewSedov(cfg)
+		naive := NewBackendNaive(d, 2)
+		if got := stepCount(t, d, naive, func() int64 { return naive.s.CountersSnapshot().Tasks }); got != tc.naive {
+			t.Errorf("naive, %d regions: %d tasks per step, want %d", tc.regions, got, tc.naive)
+		}
+	}
 }

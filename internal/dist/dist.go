@@ -46,7 +46,6 @@ import (
 	"lulesh/internal/comm"
 	"lulesh/internal/core"
 	"lulesh/internal/domain"
-	"lulesh/internal/kernels"
 	"lulesh/internal/omp"
 	"lulesh/internal/perf"
 )
@@ -70,7 +69,7 @@ type Config struct {
 	// Async selects the overlapped exchange schedule: boundary planes are
 	// computed and posted first, interior work overlaps the in-flight
 	// exchange, and each receive is joined only in front of the work that
-	// depends on remote data (see stepOverlapped).
+	// depends on remote data (see rank.step).
 	Async bool
 
 	// TreeReduce routes the dt allreduce over a binomial tree
@@ -435,21 +434,17 @@ type rank struct {
 	boxCfg domain.BoxConfig
 	d      *domain.Domain
 	ep     *comm.Endpoint
-	flag   kernels.Flag
-	async  bool
 
 	// Overlap machinery: the dt-reduction topology toggle, the
-	// boundary/interior classification of both index spaces, and the
-	// symmetry-plane node lists and region element lists pre-split along
-	// the same seam (so the overlapped schedule's split loops visit
+	// boundary/interior classification of both index spaces (everything
+	// is boundary under the synchronous schedule), and the region element
+	// lists pre-split along the same seam (so the split region Q visits
 	// exactly the original elements).
-	treeReduce             bool
-	nodePlan               domain.OverlapPlan
-	elemPlan               domain.OverlapPlan
-	symmXB, symmYB, symmZB []int32   // boundary-plane sublists
-	symmXI, symmYI, symmZI []int32   // interior sublists
-	regBoundary            [][]int32 // per-region boundary-plane elements
-	regInterior            [][]int32 // per-region interior elements
+	treeReduce  bool
+	nodePlan    domain.OverlapPlan
+	elemPlan    domain.OverlapPlan
+	regBoundary [][]int32 // per-region boundary-plane elements
+	regInterior [][]int32 // per-region interior elements
 
 	// Fault tolerance: the coordinated-checkpoint sink (in-memory for an
 	// in-process cluster, on-disk for a wire run), and whether this
@@ -461,23 +456,11 @@ type rank struct {
 	restored  bool
 	epochHook func(cycle int)
 
-	// Mesh-sized temporaries (the serial backend's working set).
-	sigxx, sigyy, sigzz []float64
-	determS, determH    []float64
-	fxS, fyS, fzS       []float64
-	fxH, fyH, fzH       []float64
-	dvdx, dvdy, dvdz    []float64
-	x8n, y8n, z8n       []float64
-	vnewc               []float64
-	scratch             *kernels.EOSScratch
-
-	// pool is the per-rank fork-join team for hybrid MPI+X execution
-	// (nil = serial rank). scratches holds one EOS scratch per team
-	// thread for the partitioned region evaluation.
-	pool      *omp.Pool
-	scratches []*kernels.EOSScratch
-	dtcPart   []float64
-	dthPart   []float64
+	// kit holds the kernel families' temporaries and error flag; pool is
+	// the per-rank fork-join team for hybrid MPI+X execution (nil =
+	// serial rank).
+	kit  *core.Kit
+	pool *omp.Pool
 
 	planeN int // nodes per z-plane
 	planeE int // elements per z-plane
@@ -534,37 +517,15 @@ func newRankWith(cfg Config, cluster *comm.Cluster, id int, d *domain.Domain) *r
 	}
 
 	ne := d.NumElem()
-	maxReg := 0
-	for _, l := range d.Regions.ElemList {
-		if len(l) > maxReg {
-			maxReg = len(l)
-		}
-	}
+	// A team splits every span into one block per thread, so partition
+	// scratch never needs more than a thread's share of the elements.
+	team := max(cfg.ThreadsPerRank, 1)
 	r := &rank{
 		id: id, cfg: cfg, boxCfg: bc, d: d,
-		ep:      cluster.Endpoint(id),
-		async:   cfg.Async,
-		sigxx:   make([]float64, ne),
-		sigyy:   make([]float64, ne),
-		sigzz:   make([]float64, ne),
-		determS: make([]float64, ne),
-		determH: make([]float64, ne),
-		fxS:     make([]float64, 8*ne),
-		fyS:     make([]float64, 8*ne),
-		fzS:     make([]float64, 8*ne),
-		fxH:     make([]float64, 8*ne),
-		fyH:     make([]float64, 8*ne),
-		fzH:     make([]float64, 8*ne),
-		dvdx:    make([]float64, 8*ne),
-		dvdy:    make([]float64, 8*ne),
-		dvdz:    make([]float64, 8*ne),
-		x8n:     make([]float64, 8*ne),
-		y8n:     make([]float64, 8*ne),
-		z8n:     make([]float64, 8*ne),
-		vnewc:   make([]float64, ne),
-		scratch: kernels.NewEOSScratch(maxReg),
-		planeN:  (cfg.Nx + 1) * (cfg.Ny + 1),
-		planeE:  cfg.Nx * cfg.Ny,
+		ep:     cluster.Endpoint(id),
+		kit:    core.NewKit(d, (ne+team-1)/team),
+		planeN: (cfg.Nx + 1) * (cfg.Ny + 1),
+		planeE: cfg.Nx * cfg.Ny,
 	}
 	r.treeReduce = cfg.TreeReduce
 	upperN := d.NumNode() - r.planeN
@@ -578,14 +539,16 @@ func newRankWith(cfg Config, cluster *comm.Cluster, id int, d *domain.Domain) *r
 	// The force frame (3·planeN) is the widest; the gradient frame is
 	// 3·planeE < 3·planeN.
 	r.pack = make([]float64, 3*r.planeN)
-	// The boundary-first classification is cheap enough to build
-	// unconditionally; only the overlapped schedule consumes it.
+	// The overlapped schedule splits off the communicated faces; the
+	// synchronous one is the same step over plans whose single boundary
+	// span is the whole space.
 	nn := d.NumNode()
-	r.nodePlan = domain.NewOverlapPlan(nn, r.planeN, bc.CommZMin, bc.CommZMax)
-	r.elemPlan = domain.NewOverlapPlan(ne, r.planeE, bc.CommZMin, bc.CommZMax)
-	r.symmXB, r.symmXI = r.nodePlan.SplitIndexList(d.Mesh.SymmX)
-	r.symmYB, r.symmYI = r.nodePlan.SplitIndexList(d.Mesh.SymmY)
-	r.symmZB, r.symmZI = r.nodePlan.SplitIndexList(d.Mesh.SymmZ)
+	planeN, planeE, lower, upper := nn, ne, true, true
+	if cfg.Async {
+		planeN, planeE, lower, upper = r.planeN, r.planeE, bc.CommZMin, bc.CommZMax
+	}
+	r.nodePlan = domain.NewOverlapPlan(nn, planeN, lower, upper)
+	r.elemPlan = domain.NewOverlapPlan(ne, planeE, lower, upper)
 	r.regBoundary = make([][]int32, len(d.Regions.ElemList))
 	r.regInterior = make([][]int32, len(d.Regions.ElemList))
 	for i, l := range d.Regions.ElemList {
@@ -599,12 +562,6 @@ func newRankWith(cfg Config, cluster *comm.Cluster, id int, d *domain.Domain) *r
 	}
 	if cfg.ThreadsPerRank > 1 {
 		r.pool = omp.NewPool(cfg.ThreadsPerRank)
-		r.scratches = make([]*kernels.EOSScratch, cfg.ThreadsPerRank)
-		for i := range r.scratches {
-			r.scratches[i] = kernels.NewEOSScratch(maxReg)
-		}
-		r.dtcPart = make([]float64, cfg.ThreadsPerRank)
-		r.dthPart = make([]float64, cfg.ThreadsPerRank)
 	}
 	return r
 }
@@ -831,16 +788,6 @@ func (r *rank) rankTrace(offsetNs, rttNs int64) perf.RankTrace {
 		r.tracer.Drain(&rt)
 	}
 	return rt
-}
-
-// step advances one leapfrog iteration with the selected exchange
-// schedule. The constraint minima are left in d.Dtcourant / d.Dthydro for
-// the caller's global reduction.
-func (r *rank) step() error {
-	if r.async {
-		return r.stepOverlapped()
-	}
-	return r.stepSynchronous()
 }
 
 // newCommCluster is a test seam for building a fabric of the right size.

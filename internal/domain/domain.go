@@ -26,10 +26,8 @@ type Domain struct {
 	Scenario ScenarioSpec
 	Box      BoxConfig
 
-	// Layout records how the field slices below are backed (see slab.go);
-	// nodeSlab/elemSlab/gradSlab are the backing stores under LayoutSlab
-	// and nil under LayoutScalar.
-	Layout   Layout
+	// nodeSlab/elemSlab/gradSlab back the field slices below (see
+	// slab.go).
 	nodeSlab []float64
 	elemSlab []float64
 	gradSlab []float64
@@ -107,11 +105,6 @@ type BoxConfig struct {
 	// origin.
 	EInit         float64
 	DepositEnergy bool
-
-	// FieldLayout selects the field memory layout (see slab.go). The zero
-	// value is LayoutSlab; old checkpoints decode to it, which is safe
-	// because both layouts hold identical values at identical indices.
-	FieldLayout Layout
 }
 
 // NewSedov allocates a Domain and initializes the spherical Sedov blast
@@ -155,7 +148,7 @@ func newBox(cfg BoxConfig) *Domain {
 
 	// Field arrays: SoA planes, slab-backed by default (the gradient
 	// planes carry ghost slots for COMM faces; see slab.go).
-	d.allocFields(nn, ne, m.NumElemGhost, cfg.FieldLayout)
+	d.allocFields(nn, ne, m.NumElemGhost)
 
 	// Node coordinates: the classic cube spans [0, 1.125] per dimension;
 	// stacked boxes use the same spacing shifted by ZOffset.

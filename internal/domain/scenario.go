@@ -491,8 +491,40 @@ func validateBox(cfg BoxConfig) error {
 		return fmt.Errorf("scenario: box dimensions must be <= %d, got %dx%dx%d",
 			maxEdge, cfg.Nx, cfg.Ny, cfg.Nz)
 	}
-	if cfg.NumReg < 1 {
-		return fmt.Errorf("scenario: NumReg must be >= 1, got %d", cfg.NumReg)
+	const maxRegions = 1 << 16
+	if cfg.NumReg < 1 || cfg.NumReg > maxRegions {
+		return fmt.Errorf("scenario: NumReg must be in [1, %d], got %d", maxRegions, cfg.NumReg)
+	}
+	if !regionWeightsFit(cfg.NumReg, cfg.Balance) {
+		return fmt.Errorf("scenario: balance %d overflows the weights of %d regions",
+			cfg.Balance, cfg.NumReg)
 	}
 	return nil
+}
+
+// regionWeightsFit reports whether the region draw's weight sum, the
+// total of (i+1)^balance over the regions, fits in an int — the region
+// builder divides by it.
+func regionWeightsFit(numReg, balance int) bool {
+	if numReg == 1 || balance <= 0 {
+		return true // one region draws nothing; a non-positive exponent weighs 1
+	}
+	if balance > 63 {
+		return false
+	}
+	sum := 0
+	for i := 1; i <= numReg; i++ {
+		w := 1
+		for j := 0; j < balance; j++ {
+			if w > math.MaxInt/i {
+				return false
+			}
+			w *= i
+		}
+		if sum > math.MaxInt-w {
+			return false
+		}
+		sum += w
+	}
+	return true
 }

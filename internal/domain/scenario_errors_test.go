@@ -136,3 +136,34 @@ func TestValidateScenarioSpecStructuredErrors(t *testing.T) {
 		t.Fatalf("got %+v, want Key=bogus Scenario=piston", uoe)
 	}
 }
+
+// TestBuildScenarioRejectsHostileBox: a box configuration can arrive from
+// a checkpoint or a job spec, so BuildScenario must refuse one that would
+// allocate without bound or overflow the region draw's weight sum —
+// and must decide quickly either way.
+func TestBuildScenarioRejectsHostileBox(t *testing.T) {
+	box := func(numReg, balance int) BoxConfig {
+		return BoxConfig{Nx: 2, Ny: 2, Nz: 2, NumReg: numReg, Balance: balance, Cost: 1}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  BoxConfig
+		ok   bool
+	}{
+		{"zero edge", BoxConfig{Nx: 0, Ny: 2, Nz: 2, NumReg: 1}, false},
+		{"huge edge", BoxConfig{Nx: 1 << 11, Ny: 2, Nz: 2, NumReg: 1}, false},
+		{"no regions", box(0, 1), false},
+		{"too many regions", box(1<<16+1, 1), false},
+		{"weights overflow", box(2, 64), false},
+		{"weight sum overflows", box(1<<16, 4), false},
+		{"one region ignores balance", box(1, 1<<40), true},
+		{"reference defaults", box(11, 1), true},
+		{"largest multimat", box(512, 4), true},
+		{"many regions", box(1<<16, 1), true},
+	} {
+		_, err := BuildScenario(ScenarioSpec{}, tc.cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+	}
+}

@@ -2,44 +2,17 @@ package domain
 
 // Structure-of-arrays slab layout.
 //
-// A Domain's field slices can be backed two ways. The slab layout (the
-// default) places all node-centred planes in one contiguous allocation and
-// all element-centred planes in another, grouped by the phase that touches
-// them together: coordinates next to each other, then velocities,
-// accelerations, forces, and the nodal mass; element state grouped as
-// EOS state, volume bookkeeping, geometry, principal strains and position
-// gradients. The scheduler's partition→worker affinity map (PR 2) hands
-// each worker a contiguous index block of every index space, so under the
-// slab layout a worker's working set is a small number of contiguous runs
-// at fixed plane stride — resident lines stay resident across the kernels
-// of one phase instead of being scattered over independently-allocated
-// slices.
-//
-// The scalar layout allocates every field separately (the pre-slab
-// behaviour). It is kept so luleshverify can prove the slab layout changes
-// nothing numerically: field values, index conventions and therefore every
-// floating-point operation order are identical under both layouts; only
-// the backing memory differs.
-
-// Layout selects how a Domain's field arrays are backed.
-type Layout int
-
-const (
-	// LayoutSlab backs all node planes and all element planes with one
-	// contiguous allocation each (the default).
-	LayoutSlab Layout = iota
-	// LayoutScalar allocates each field slice separately (the historical
-	// layout, kept for A/B verification).
-	LayoutScalar
-)
-
-// String names the layout for harness output.
-func (l Layout) String() string {
-	if l == LayoutScalar {
-		return "scalar"
-	}
-	return "slab"
-}
+// A Domain's field slices are backed by slabs: all node-centred planes in
+// one contiguous allocation and all element-centred planes in another,
+// grouped by the phase that touches them together: coordinates next to
+// each other, then velocities, accelerations, forces, and the nodal mass;
+// element state grouped as EOS state, volume bookkeeping, geometry,
+// principal strains and position gradients. The scheduler's
+// partition→worker affinity map hands each worker a contiguous index
+// block of every index space, so a worker's working set is a small number
+// of contiguous runs at fixed plane stride — resident lines stay resident
+// across the kernels of one phase instead of being scattered over
+// independently-allocated slices.
 
 // Plane counts of the two slabs. The gradient slab is separate because its
 // planes carry ghost slots (NumElemGhost ≥ NumElem) for COMM faces.
@@ -58,13 +31,8 @@ func carve(buf []float64, off *int, n int) []float64 {
 }
 
 // allocFields populates every field slice of d for nn nodes, ne elements
-// and ngh ghost-carrying gradient slots, using the requested layout.
-func (d *Domain) allocFields(nn, ne, ngh int, layout Layout) {
-	if layout == LayoutScalar {
-		d.allocScalar(nn, ne, ngh)
-		return
-	}
-	d.Layout = LayoutSlab
+// and ngh ghost-carrying gradient slots.
+func (d *Domain) allocFields(nn, ne, ngh int) {
 	d.nodeSlab = make([]float64, nodePlanes*nn)
 	d.elemSlab = make([]float64, elemPlanes*ne)
 	d.gradSlab = make([]float64, gradPlanes*ngh)
@@ -113,47 +81,6 @@ func (d *Domain) allocFields(nn, ne, ngh int, layout Layout) {
 	d.DelvXi = carve(d.gradSlab, &off, ngh)
 	d.DelvEta = carve(d.gradSlab, &off, ngh)
 	d.DelvZeta = carve(d.gradSlab, &off, ngh)
-}
-
-// allocScalar is the historical one-make-per-field allocation.
-func (d *Domain) allocScalar(nn, ne, ngh int) {
-	d.Layout = LayoutScalar
-	d.X = make([]float64, nn)
-	d.Y = make([]float64, nn)
-	d.Z = make([]float64, nn)
-	d.Xd = make([]float64, nn)
-	d.Yd = make([]float64, nn)
-	d.Zd = make([]float64, nn)
-	d.Xdd = make([]float64, nn)
-	d.Ydd = make([]float64, nn)
-	d.Zdd = make([]float64, nn)
-	d.Fx = make([]float64, nn)
-	d.Fy = make([]float64, nn)
-	d.Fz = make([]float64, nn)
-	d.NodalMass = make([]float64, nn)
-
-	d.E = make([]float64, ne)
-	d.P = make([]float64, ne)
-	d.Q = make([]float64, ne)
-	d.Ql = make([]float64, ne)
-	d.Qq = make([]float64, ne)
-	d.V = make([]float64, ne)
-	d.Volo = make([]float64, ne)
-	d.Vnew = make([]float64, ne)
-	d.Delv = make([]float64, ne)
-	d.Vdov = make([]float64, ne)
-	d.Arealg = make([]float64, ne)
-	d.SS = make([]float64, ne)
-	d.ElemMass = make([]float64, ne)
-	d.Dxx = make([]float64, ne)
-	d.Dyy = make([]float64, ne)
-	d.Dzz = make([]float64, ne)
-	d.DelvXi = make([]float64, ngh)
-	d.DelvEta = make([]float64, ngh)
-	d.DelvZeta = make([]float64, ngh)
-	d.DelxXi = make([]float64, ne)
-	d.DelxEta = make([]float64, ne)
-	d.DelxZeta = make([]float64, ne)
 }
 
 // NodeBlock is the [lo,hi) window of the node-centred planes one node

@@ -2,52 +2,6 @@ package domain
 
 import "testing"
 
-// TestSlabScalarInitIdentical builds the same scenario under both layouts
-// and checks every field holds identical values at identical indices —
-// the invariant that makes the layouts interchangeable.
-func TestSlabScalarInitIdentical(t *testing.T) {
-	for _, spec := range []ScenarioSpec{
-		{Name: ScenarioSedov},
-		{Name: ScenarioPiston, Options: map[string]string{"speed": "100"}},
-		{Name: ScenarioMultimat},
-	} {
-		cfg := BoxConfig{Nx: 5, Ny: 5, Nz: 5, NumReg: 7, Balance: 1, Cost: 2,
-			DepositEnergy: true}
-		slab, err := BuildScenario(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FieldLayout = LayoutScalar
-		scalar, err := BuildScenario(spec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if slab.Layout != LayoutSlab || scalar.Layout != LayoutScalar {
-			t.Fatalf("%s: layouts %v / %v", spec.Name, slab.Layout, scalar.Layout)
-		}
-		pairs := []struct {
-			name string
-			a, b []float64
-		}{
-			{"X", slab.X, scalar.X}, {"Y", slab.Y, scalar.Y}, {"Z", slab.Z, scalar.Z},
-			{"E", slab.E, scalar.E}, {"P", slab.P, scalar.P},
-			{"V", slab.V, scalar.V}, {"Volo", slab.Volo, scalar.Volo},
-			{"ElemMass", slab.ElemMass, scalar.ElemMass},
-			{"NodalMass", slab.NodalMass, scalar.NodalMass},
-		}
-		for _, pr := range pairs {
-			if len(pr.a) != len(pr.b) {
-				t.Fatalf("%s/%s: lengths %d vs %d", spec.Name, pr.name, len(pr.a), len(pr.b))
-			}
-			for i := range pr.a {
-				if pr.a[i] != pr.b[i] {
-					t.Fatalf("%s/%s[%d]: %v vs %v", spec.Name, pr.name, i, pr.a[i], pr.b[i])
-				}
-			}
-		}
-	}
-}
-
 // TestSlabViewsCapacityCapped checks that every plane carved from a slab
 // is capacity-capped: growing one plane must reallocate, never spill into
 // the neighbouring plane's storage.
